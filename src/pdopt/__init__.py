@@ -12,7 +12,7 @@ from .precond import (BlockDiag, BlockOrdering, Diagonal, Gram, Preconditioner,
                       ScaledIdentity, ct_block_precond, four_block_ordering,
                       gram_precond, metric_spectrum, ordering_for,
                       pock_diagonal, scaled_identity, trivial_ordering,
-                      two_block_ordering, validate_ordering, validate_schur)
+                      two_block_ordering, validate_schur)
 from .solver import (BcdPlan, ConfigError, InfeasibleStepsizeError, IterateState,
                      RunResult, SaddleProblem, SingularMetricError, SolverConfig,
                      Trace, ZSubproblem, admm_dual_step, bcd_gamma_feasible,

@@ -292,7 +292,9 @@ def cmd_compare(args):
                     "status": "error", "outer_iters": "", "time_s": "",
                     "final_delta": "", "error": str(exc)}
 
-    n_jobs = max(1, getattr(args, "jobs", 1) or cfg.get("jobs", 1))
+    # precedence: the --jobs flag, then the config file, then 1
+    n_jobs = getattr(args, "jobs", None)
+    n_jobs = max(1, n_jobs if n_jobs is not None else cfg.get("jobs", 1))
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             rows = list(pool.map(run_one, jobs))
@@ -532,7 +534,7 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         p.add_argument("--output", default=None)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=None)
         if name == "validate":
             p.add_argument("--suite", default="all")
         p.add_argument("overrides", nargs="*")

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 
 from .operators import (Div2D, Grad2D, LinearOperator, OrderingError,
-                        WeightedGrad2D, block_gram, op_norm_sq_estimate)
+                        WeightedGrad2D, op_norm_sq_estimate)
 
 
 class Preconditioner:
@@ -248,8 +248,3 @@ def metric_spectrum(m2, guard=2000):
     pos = eigs[eigs > 1e-12 * max(1.0, eigs[-1])]
     lam_min_pos = float(pos[0]) if pos.size else 0.0
     return float(eigs[0]), lam_min_pos, float(eigs[-1])
-
-
-def validate_ordering(A, ordering):
-    """Run the block-Gram structure check; returns the per-block diagonals."""
-    return block_gram(A, ordering)

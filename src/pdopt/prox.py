@@ -129,7 +129,13 @@ class L1(ProxFunction):
 
 
 class GroupL12(ProxFunction):
-    """lam * sum of euclidean norms over fixed coordinate groups."""
+    """lam * sum of euclidean norms over fixed coordinate groups.
+
+    ``groups`` is the (num_groups, group_size) index array as given; the
+    kernels read its member-major copy ``members`` (group_size, num_groups)
+    and reduce over axis 0, which keeps each gather and reduction contiguous
+    for any group layout.
+    """
 
     def __init__(self, dim, groups, lam=1.0):
         groups = np.asarray(groups, dtype=int)
@@ -140,10 +146,11 @@ class GroupL12(ProxFunction):
             raise ValueError("groups must partition the coordinate set")
         self.dim = dim
         self.groups = groups
+        self.members = np.ascontiguousarray(groups.T)
         self.lam = float(lam)
 
     def _group_norms(self, x):
-        return np.linalg.norm(np.asarray(x, dtype=float)[self.groups], axis=1)
+        return np.linalg.norm(np.asarray(x, dtype=float)[self.members], axis=0)
 
     def value(self, x):
         return self.lam * float(np.sum(self._group_norms(x)))
@@ -151,17 +158,17 @@ class GroupL12(ProxFunction):
     def prox(self, v, d):
         v = np.asarray(v, dtype=float)
         d = _as_diag(d, self.dim)
-        dg = d[self.groups]
-        if np.max(np.abs(dg - dg[:, :1])) > 1e-12 * (1.0 + np.max(dg)):
+        dg = d[self.members]
+        if np.max(np.abs(dg - dg[0])) > 1e-12 * (1.0 + np.max(dg)):
             raise UnsupportedMetricError(
                 "group shrinkage needs a metric constant within each group")
-        vg = v[self.groups]
-        norms = np.linalg.norm(vg, axis=1)
+        vg = v[self.members]
+        norms = np.linalg.norm(vg, axis=0)
         scale = np.zeros_like(norms)
         nz = norms > 0
-        scale[nz] = np.maximum(0.0, 1.0 - self.lam / (dg[nz, 0] * norms[nz]))
+        scale[nz] = np.maximum(0.0, 1.0 - self.lam / (dg[0, nz] * norms[nz]))
         out = np.empty_like(v)
-        out[self.groups] = vg * scale[:, None]
+        out[self.members] = vg * scale
         return out
 
     def conjugate_value(self, y, feas_tol=1e-8):

@@ -12,12 +12,13 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import prox as _prox
-from .operators import StackedOp
+from .operators import OrderingError, StackedOp
 from .precond import (BlockDiag, Diagonal, Gram, Preconditioner,
                       ScaledIdentity, gram_precond, ordering_for,
-                      scaled_identity, validate_ordering)
+                      scaled_identity)
 from .operators import op_norm_sq_estimate
 
 
@@ -224,9 +225,17 @@ def inner_fista_restart(sub, gamma, p):
 class BcdPlan:
     """Precomputed structure for cyclic block-coordinate sweeps.
 
-    Splits the dual space into segments following M2's block structure:
-    diagonal segments are minimized exactly in one shot, Gram segments sweep
-    their color blocks in a fixed order using the diagonal block Grams.
+    Splits the dual space into segments following M2's block structure.  A
+    diagonal segment ``("diag", lo, hi, e)`` is minimized exactly in one
+    shot.  A Gram segment ``("gram", lo, hi, idx, inv_h, blocks)`` lists its
+    live rows colour block by colour block in ``idx`` (global coordinates).
+    Rows with ``h = tau ||a_i||^2 + ridge = 0`` are dead: they are left out
+    of ``idx`` and never touched.  ``inv_h`` is ``1/h`` in the order of
+    ``idx``, and ``blocks`` holds one ``(slice, G_b)`` pair per colour
+    block: ``G_b`` is the block's rows of ``A A^T`` with the self-coupling
+    removed, scaled row-wise by ``tau/h``, with columns in the order of
+    ``idx``.  Building ``G_b`` also checks the ordering: an off-diagonal
+    entry of ``A A^T`` inside a block raises OrderingError.
     """
 
     def __init__(self, A, m2, ordering=None):
@@ -236,10 +245,8 @@ class BcdPlan:
             self.num_blocks = 1
         elif isinstance(m2, Gram):
             ordering = ordering if ordering is not None else ordering_for(m2.A)
-            diags = validate_ordering(m2.A, ordering)
-            self.segments.append(self._gram_segment(0, m2.dim, m2.A, m2.tau,
-                                                    m2.ridge, ordering.blocks,
-                                                    diags))
+            self.segments.append(self._gram_segment(0, m2.A, m2.tau, m2.ridge,
+                                                    ordering.blocks))
             self.num_blocks = ordering.num_blocks
         elif isinstance(m2, BlockDiag) and isinstance(A, StackedOp):
             if len(m2.parts) != len(A.ops):
@@ -253,10 +260,8 @@ class BcdPlan:
                     nblocks += 1
                 elif isinstance(part, Gram):
                     sub_ord = ordering_for(part.A)
-                    diags = validate_ordering(part.A, sub_ord)
                     self.segments.append(self._gram_segment(
-                        lo, hi, part.A, part.tau, part.ridge,
-                        sub_ord.blocks, diags))
+                        lo, part.A, part.tau, part.ridge, sub_ord.blocks))
                     nblocks += sub_ord.num_blocks
                 else:
                     raise ConfigError(
@@ -268,21 +273,47 @@ class BcdPlan:
                 "a stacked operator")
 
     @staticmethod
-    def _gram_segment(lo, hi, op, tau, ridge, blocks, diags):
-        """Presplit the operator rows per color block so a sweep can keep the
-        running gradient A^T(z - z_ref) up to date with cheap partial products."""
+    def _gram_segment(lo, op, tau, ridge, blocks):
+        """Gram rows per colour block, built one block at a time from A and
+        A^T only, with column indices remapped to the block-contiguous order."""
         mat = op.to_sparse().tocsr()
+        m = mat.shape[0]
+        if sum(b.size for b in blocks) != m:
+            raise OrderingError("ordering does not partition the operator's row space")
         mat_t = mat.T.tocsr()
+        d = mat.power(2) @ np.ones(mat.shape[1])        # ||a_i||^2
+        h = tau * d + ridge
+        live_blocks = [blk[h[blk] > 0] for blk in blocks]
+        order = np.concatenate(live_blocks)
+        n_live = order.size
+        pos = np.full(m, -1, dtype=mat_t.indices.dtype)  # dead rows stay -1
+        pos[order] = np.arange(n_live)
         per_block = []
-        for blk, d in zip(blocks, diags):
-            rows = mat[blk, :]
-            h = tau * d + ridge
-            live = h > 0
-            h_safe = np.where(live, h, 1.0)
-            per_block.append((blk, d, rows, rows.T.tocsr(), h_safe,
-                              1.0 / h_safe, None if live.all() else live,
-                              blk + lo))
-        return ("gram", lo, hi, tau, mat_t, per_block)
+        start = 0
+        for rows in live_blocks:
+            if rows.size == 0:
+                continue
+            stop = start + rows.size
+            gram = mat[rows] @ mat_t                # rows of A A^T
+            counts = np.diff(gram.indptr)
+            cols = pos[gram.indices]
+            inside = (cols >= start) & (cols < stop)
+            # row i holds its diagonal entry iff d_i != 0 (same sum, and the
+            # product drops exact zeros); any other entry inside the block
+            # is a coupling the ordering must not have
+            if np.count_nonzero(inside) != np.count_nonzero(d[rows]):
+                raise OrderingError(
+                    "within-block columns of A^T are not mutually orthogonal")
+            data = gram.data * np.repeat(tau / h[rows], counts)
+            drop = inside | (cols < 0)              # self-coupling, dead columns
+            data[drop] = 0.0
+            cols[drop] = 0
+            g_b = sp.csr_matrix((data, cols, gram.indptr),
+                                shape=(rows.size, n_live))
+            g_b.eliminate_zeros()
+            per_block.append((slice(start, stop), g_b))
+            start = stop
+        return ("gram", lo, lo + m, lo + order, 1.0 / h[order], per_block)
 
 
 def inner_bcd(sub, plan, p):
@@ -290,9 +321,7 @@ def inner_bcd(sub, plan, p):
     if p < 1:
         raise ConfigError("p must be >= 1")
     z = sub.z_ref.copy()
-    carry = {}
-    for _ in range(p):
-        _bcd_sweep(sub, plan, z, carry)
+    _bcd_sweep(sub, plan, z, p)
     return z, p
 
 
@@ -330,47 +359,34 @@ def solve_subproblem_exact(sub, tol=1e-12, max_iter=200000, gamma=None, plan=Non
 def _bcd_from(sub, plan, z_start):
     """One BCD epoch starting from an arbitrary point (not z_ref)."""
     z = z_start.copy()
-    _bcd_sweep(sub, plan, z, None)
+    _bcd_sweep(sub, plan, z, 1)
     return z
 
 
-def _bcd_sweep(sub, plan, z, carry):
-    """One in-place BCD epoch over z; `carry` keeps each segment's running
-    gradient A^T(z - z_ref) alive between consecutive epochs."""
-    for i, seg in enumerate(plan.segments):
+def _bcd_sweep(sub, plan, z, epochs):
+    """`epochs` in-place BCD epochs over z.
+
+    A diagonal segment does not depend on z, so it is solved once.  A Gram
+    segment gathers z_ref, q and z over its live rows once and forms
+    c = z_ref + q/h; block b then sets v = c_b - G_b (z - z_ref) and
+    z_b = conj_prox_scalar(v, 1/h_b), and one scatter writes z back.
+    """
+    g = sub.g
+    for seg in plan.segments:
         if seg[0] == "diag":
             _, lo, hi, e = seg
             v = sub.z_ref[lo:hi] + sub.q[lo:hi] / e
-            z[lo:hi] = sub.g.conj_prox_scalar(v, 1.0 / e, np.arange(lo, hi))
+            z[lo:hi] = g.conj_prox_scalar(v, 1.0 / e, np.arange(lo, hi))
         else:
-            _, lo, hi, tau, mat_t, per_block = seg
-            z_ref_s = sub.z_ref[lo:hi]
-            q_s = sub.q[lo:hi]
-            zs = z[lo:hi]
-            dzs = zs - z_ref_s
-            if carry is not None and i in carry:
-                w = carry[i]
-            elif not dzs.any():
-                w = np.zeros(mat_t.shape[0])
-            else:
-                w = mat_t @ dzs      # running gradient A^T (z - z_ref)
-            for blk, d, rows, rows_t, h, inv_h, live, gidx in per_block:
-                t_b = rows @ w - d * dzs[blk]
-                v = z_ref_s[blk] + (q_s[blk] - tau * t_b) * inv_h
-                if live is None:
-                    znew = sub.g.conj_prox_scalar(v, inv_h, gidx)
-                else:
-                    znew = zs[blk].copy()
-                    znew[live] = sub.g.conj_prox_scalar(
-                        v[live], inv_h[live], gidx[live])
-                delta = znew - zs[blk]
-                zs[blk] = znew
-                dzs[blk] += delta
-                w += rows_t @ delta
-            if zs.base is not z:
-                z[lo:hi] = zs
-            if carry is not None:
-                carry[i] = w
+            _, _, _, idx, inv_h, blocks = seg
+            z_ref = sub.z_ref[idx]
+            c = z_ref + sub.q[idx] * inv_h
+            dz = z[idx] - z_ref
+            for _ in range(epochs):
+                for sl, gram in blocks:
+                    v = c[sl] - gram @ dz
+                    dz[sl] = g.conj_prox_scalar(v, inv_h[sl], idx[sl]) - z_ref[sl]
+            z[idx] = z_ref + dz
 
 
 def m2_norm_estimate(m2, iters=200, tol=1e-10):
@@ -573,8 +589,12 @@ def validate_config(problem, config):
         raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
     if cfg.p < 1:
         raise ConfigError("inner iteration count p must be >= 1")
-    if cfg.tau <= 0:
-        raise ConfigError("tau must be positive")
+    for name in ("tau", "sigma", "gamma"):
+        value = getattr(cfg, name)
+        if value is None and name != "tau":
+            continue        # sigma and gamma default to stepsizes from ||A||, ||M2||
+        if value is None or not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be finite and positive, got {value!r}")
     if cfg.algorithm == "pdhg":
         if cfg.inner is not None:
             raise ConfigError("pdhg takes no inner iterator")
@@ -602,8 +622,6 @@ def validate_config(problem, config):
         out["gamma"] = gamma
     else:
         raise ConfigError(f"unknown inner iterator {inner!r}")
-    if cfg.algorithm == "prepdhg_exact" and inner == "bcd":
-        out["plan"] = BcdPlan(problem.A, m2, cfg.ordering)
     return out
 
 

@@ -182,6 +182,34 @@ def test_compare_records_crashes_per_row(noisy_pgm, tmp_path, capsys):
     assert all(",error," not in l for l in good)
 
 
+def test_compare_jobs_flag_then_config_file_then_one(noisy_pgm, tmp_path,
+                                                    monkeypatch, capsys):
+    from pdopt import cli
+    pools = []
+
+    class RecordingPool(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    cfgfile = tmp_path / "run.cfg"
+    body = (f"problem=tvl1\ninput={noisy_pgm}\nmethods=pdhg,iprepdhg_bcd\n"
+            "max_outer=20\n")
+    cfgfile.write_text(body + "jobs=2\n")
+    head = ["compare", "--config", str(cfgfile), "--output", str(tmp_path)]
+    assert main(head) == 0
+    assert pools == [2]                     # from the config file
+    assert main(head + ["--jobs", "1"]) == 0
+    assert pools == [2]                     # the flag wins
+    assert main(head + ["--jobs", "3"]) == 0
+    assert pools == [2, 3]
+    cfgfile.write_text(body)
+    assert main(head) == 0
+    assert pools == [2, 3]                  # neither given: one job
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # validate + oracle commands
 

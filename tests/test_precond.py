@@ -187,7 +187,7 @@ def test_metric_spectrum_reports_singular_gram():
 
 
 def test_ordering_for_validates():
-    from pdopt.precond import validate_ordering
+    from pdopt.operators import block_gram
     A = Div2D(5, 5)
-    diags = validate_ordering(A, ordering_for(A))
+    diags = block_gram(A, ordering_for(A))
     assert sum(d.size for d in diags) == A.shape[0]

@@ -53,6 +53,53 @@ def test_group_l12_nonconstant_metric_rejected():
         phi.prox(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
 
 
+def _group_layouts():
+    n = 6
+    # EMD's column-stacked pairs (i, n+i), and a strided size-3 layout
+    return [np.column_stack([np.arange(n), n + np.arange(n)]),
+            np.arange(12).reshape(3, 4).T]
+
+
+@pytest.mark.parametrize("layout", [0, 1])
+def test_group_l12_matches_per_group_loop(layout):
+    groups = _group_layouts()[layout]
+    dim = groups.size
+    rng = np.random.default_rng(11)
+    lam = 0.7
+    phi = GroupL12(dim, groups, lam=lam)
+    v = rng.standard_normal(dim)
+    v[groups[0]] = 0.0                      # a zero-norm group
+    d = np.empty(dim)
+    for grp in groups:                      # metric constant within groups
+        d[grp] = rng.uniform(0.5, 2.0)
+    want = np.empty(dim)
+    for grp in groups:
+        nrm = np.linalg.norm(v[grp])
+        scale = max(0.0, 1.0 - lam / (d[grp[0]] * nrm)) if nrm > 0 else 0.0
+        want[grp] = scale * v[grp]
+    got = phi.prox(v, d)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(got[groups[0]], 0.0)
+    assert np.isclose(phi.value(v),
+                      lam * sum(np.linalg.norm(v[grp]) for grp in groups),
+                      rtol=1e-15)
+    # conjugate: 0 while every group norm is <= lam, inf otherwise
+    y = v * (0.9 * lam / max(np.linalg.norm(v[grp]) for grp in groups))
+    assert phi.conjugate_value(y) == 0.0
+    y[groups[-1]] *= 1.2 * lam / np.linalg.norm(y[groups[-1]])
+    assert phi.conjugate_value(y) == np.inf
+
+
+@pytest.mark.parametrize("layout", [0, 1])
+def test_group_l12_rejects_metric_varying_within_a_group(layout):
+    groups = _group_layouts()[layout]
+    phi = GroupL12(groups.size, groups, lam=1.0)
+    d = np.ones(groups.size)
+    d[groups[1][-1]] = 2.0
+    with pytest.raises(UnsupportedMetricError):
+        phi.prox(np.ones(groups.size), d)
+
+
 def test_point_indicator_prox_is_target():
     t = np.array([1.0, -2.0])
     np.testing.assert_array_equal(PointIndicator(t).prox(np.zeros(2), 5.0), t)

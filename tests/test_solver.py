@@ -180,7 +180,8 @@ def test_inner_bcd_epoch_is_red_black_gauss_seidel():
 
 def test_inner_bcd_box_conjugate_exact_block_minimizer():
     # TV-L1-style dual: each block update must be the exact constrained
-    # block minimizer, cross-checked by a dense per-coordinate solve
+    # block minimizer, cross-checked by a dense per-coordinate solve over
+    # p epochs; Grad2D's structurally zero rows (h = 0) must stay put
     rng = np.random.default_rng(7)
     A = Grad2D(3, 3)
     m = A.shape[0]
@@ -191,20 +192,72 @@ def test_inner_bcd_box_conjugate_exact_block_minimizer():
     q = rng.standard_normal(m)
     sub = ZSubproblem(z_ref, q, m2, g)
     plan = BcdPlan(A, m2)
-    z_got, _ = inner_bcd(sub, plan, 1)
+    dense = m2.dense()
+    from pdopt.precond import four_block_ordering
+    z = z_ref.copy()
+    for p in (1, 2, 3):
+        for blk in four_block_ordering(3, 3).blocks:
+            for i in blk:
+                h = dense[i, i]
+                # coordinate objective: -q_i dz_i + cross_i dz_i + (h/2) dz_i^2
+                # over the box [-1, 1]; cross_i is the off-diagonal coupling
+                cross = dense[i, :] @ (z - z_ref) - h * (z[i] - z_ref[i])
+                if h > 0:
+                    z[i] = np.clip(z_ref[i] + (q[i] - cross) / h, -1, 1)
+        z_got, count = inner_bcd(sub, plan, p)
+        assert count == p
+        np.testing.assert_allclose(z_got, z, atol=1e-13)
+    dead = np.diag(dense) == 0
+    assert dead.any()
+    np.testing.assert_array_equal(z_got[dead], z_ref[dead])
+
+
+def test_inner_bcd_ct_block_plan_is_gauss_seidel():
+    # ct_block_precond: a diagonal segment (tau ||R||^2 I) and a Gram
+    # segment (tau D D^T) over a StackedOp, with a Concat conjugate
+    from pdopt.operators import StackedOp
+    from pdopt.precond import ct_block_precond, four_block_ordering
+    from pdopt.prox import Concat
+    rng = np.random.default_rng(9)
+    R = SparseOp(sp.csr_matrix(rng.uniform(0.0, 1.0, (5, 9))))
+    A = StackedOp([R, Grad2D(3, 3)])
+    tau, lam, weight = 0.3, 0.8, 1.5
+    _, m2 = ct_block_precond(R, 3, 3, tau=tau, variant="norm")
+    center = rng.standard_normal(5)
+    g = Concat([Quadratic(5, weight=weight, center=center), L1(18, lam=lam)])
+    m = A.shape[0]
+    z_ref = np.concatenate([rng.standard_normal(5), np.clip(rng.standard_normal(18), -lam, lam)])
+    q = rng.standard_normal(m)
+    sub = ZSubproblem(z_ref, q, m2, g)
+    plan = BcdPlan(A, m2)
+    assert [seg[0] for seg in plan.segments] == ["diag", "gram"]
+    assert plan.num_blocks == 5
 
     dense = m2.dense()
+    order = [np.arange(5)] + [5 + b for b in four_block_ordering(3, 3).blocks]
     z = z_ref.copy()
-    from pdopt.precond import four_block_ordering
-    for blk in four_block_ordering(3, 3).blocks:
-        for i in blk:
-            h = dense[i, i]
-            # coordinate objective: -q_i dz_i + cross_i dz_i + (h/2) dz_i^2
-            # over the box [-1, 1]; cross_i is the off-diagonal coupling
-            cross = dense[i, :] @ (z - z_ref) - h * (z[i] - z_ref[i])
-            if h > 0:
-                z[i] = np.clip(z_ref[i] + (q[i] - cross) / h, -1, 1)
-    np.testing.assert_allclose(z_got, z, atol=1e-13)
+    for p in (1, 2):
+        for blk in order:
+            for i in blk:
+                h = dense[i, i]
+                if h == 0:
+                    continue
+                cross = dense[i, :] @ (z - z_ref) - h * (z[i] - z_ref[i])
+                v = z_ref[i] + (q[i] - cross) / h
+                if i < 5:   # conjugate of (w/2)(x - c)^2, step 1/h
+                    z[i] = weight * (v - center[i] / h) / (weight + 1.0 / h)
+                else:       # conjugate of lam |x|: clamp
+                    z[i] = np.clip(v, -lam, lam)
+        z_got, _ = inner_bcd(sub, plan, p)
+        np.testing.assert_allclose(z_got, z, atol=1e-13)
+
+
+def test_bcd_plan_rejects_coupled_block():
+    from pdopt.operators import OrderingError
+    from pdopt.precond import trivial_ordering
+    A = Grad2D(4, 4)
+    with pytest.raises(OrderingError):
+        BcdPlan(A, Gram(0.5, A), trivial_ordering(A.shape[0]))
 
 
 def test_inner_bcd_zero_drift_fixed_point():
@@ -427,6 +480,21 @@ def test_pdhg_rejects_inner():
     cfg = SolverConfig(algorithm="pdhg", inner="bcd", tau=0.01)
     with pytest.raises(ConfigError):
         validate_config(prob, cfg)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("tau", float("nan")), ("tau", float("inf")), ("tau", 0.0),
+    ("sigma", float("nan")), ("sigma", -1.0),
+    ("gamma", float("nan")), ("gamma", float("inf")), ("gamma", 0.0)])
+def test_config_rejects_nonfinite_or_nonpositive_steps(field, value):
+    prob = _toy_problem(np.random.default_rng(27))
+    for algorithm, inner in (("pdhg", None), ("iprepdhg", "proxgrad")):
+        cfg = SolverConfig(**{"algorithm": algorithm, "inner": inner,
+                              "tau": 0.01, field: value})
+        with pytest.raises(ConfigError, match=field):
+            validate_config(prob, cfg)
+        with pytest.raises(ConfigError):
+            run(prob, cfg)
 
 
 def test_pdhg_rejects_bad_stepsizes():
