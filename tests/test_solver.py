@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+
+import pdopt
 
 from pdopt.operators import Div2D, Grad2D, SparseOp
 from pdopt.precond import (Diagonal, Gram, ScaledIdentity, gram_precond,
@@ -595,3 +601,47 @@ def test_max_seconds_stop():
     res = run(prob, cfg)
     assert res.time_s < 5.0
     assert res.outer_iters < 10 ** 7
+
+
+_HEAP_PROBE = """
+import ctypes
+import numpy as np
+import scipy.sparse as sp
+from pdopt.operators import SparseOp
+from pdopt.prox import Zero
+from pdopt.solver import SaddleProblem, SolverConfig, run
+
+class MallInfo(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = MallInfo
+prob = SaddleProblem(f=Zero(2), g=Zero(3), A=SparseOp(sp.csr_matrix((3, 2))))
+run(prob, SolverConfig(algorithm="pdhg", tau=1.0, max_outer=1))
+before = mallinfo2()
+a = np.ones(2_000_000)      # 16 MB
+during = mallinfo2()
+del a
+after = mallinfo2()
+print(during.hblks - before.hblks, during.uordblks - before.uordblks >= 16e6,
+      after.arena == during.arena)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "confstr") or sys.platform != "linux",
+                    reason="glibc malloc thresholds")
+def test_run_keeps_arrays_below_32mb_on_a_mapped_heap():
+    # after a solve, a 16 MB array comes from the heap rather than its own
+    # mmap, and freeing it does not shrink the heap
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (OSError, ValueError):
+        glibc = None
+    if not glibc:
+        pytest.skip("C library is not glibc")
+    env = dict(os.environ, PYTHONPATH=str(Path(pdopt.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _HEAP_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "True", "True"]
