@@ -7,7 +7,7 @@ from .operators import (DimensionMismatchError, Div2D, Grad2D, InvalidWeightsErr
 from .prox import (BoxIndicator, Concat, GroupL12, L1, LinearPlusBox,
                    PointIndicator, ProxFunction, Quadratic,
                    UnsupportedKindError, UnsupportedMetricError, Zero,
-                   conj_prox, conj_prox_via_moreau, scalar_conj_prox)
+                   conj_prox, conj_prox_via_moreau)
 from .precond import (BlockDiag, BlockOrdering, Diagonal, Gram, Preconditioner,
                       ScaledIdentity, ct_block_precond, four_block_ordering,
                       gram_precond, metric_spectrum, ordering_for,
@@ -24,4 +24,4 @@ from .solver import (BcdPlan, ConfigError, InfeasibleStepsizeError, IterateState
 from .problems import (ProblemInstance, add_impulse_noise, ct, emd, graphcut,
                        reference_solve, synth_line_integral_matrix, tvl1)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -281,8 +281,7 @@ def cmd_compare(args):
         method, tau, p = job
         try:
             sc = _method_config(instance, method, tau, p, cfg)
-            solver.validate_config(instance.problem, sc)
-            res = solver.run(instance.problem, sc)
+            res = solver.run(instance.problem, sc)    # validates the config
             return {"method": method, "params": _param_string(method, tau, p),
                     "status": res.status, "outer_iters": res.outer_iters,
                     "time_s": res.time_s, "final_delta": res.final_delta,

@@ -356,20 +356,3 @@ def conj_prox(phi, v, d):
     """prox of phi's conjugate under metric diag(d)."""
     d = _as_diag(d, phi.dim)
     return conj_prox_via_moreau(phi, v, 1.0 / d)
-
-
-def scalar_conj_prox(kind, v, t, lam=1.0, c=0.0, center=0.0, weight=1.0):
-    """Closed-form scalar conjugate proxes used inside block sweeps.
-
-    kind "l1":       conjugate of lam*|x|          -> clamp to [-lam, lam]
-    kind "linear":   conjugate contribution <z, c> -> v - t*c
-    kind "quad":     conjugate of (w/2)(x-center)^2 -> w*(v - t*center)/(w + t)
-    """
-    v = np.asarray(v, dtype=float)
-    if kind == "l1":
-        return np.clip(v, -lam, lam)
-    if kind == "linear":
-        return v - t * c
-    if kind == "quad":
-        return weight * (v - t * center) / (weight + t)
-    raise UnsupportedKindError(f"no scalar conjugate prox for kind {kind!r}")

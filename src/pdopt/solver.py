@@ -71,6 +71,16 @@ class SaddleProblem:
 
 @dataclass
 class SolverConfig:
+    """Settings of one run.
+
+    Monitoring follows the log cadence and the stop rules: ``phi`` and the
+    problem's feasibility are evaluated on logged iterations (every
+    ``log_every``-th and the last); ``phi`` on every iteration only when
+    ``tol_delta`` and ``phi_star`` are set, and on the final one when
+    ``phi_star`` is set.  ``RunResult.monitor_s`` reports their cost, which
+    ``time_s`` excludes.
+    """
+
     algorithm: str = "iprepdhg"      # pdhg | prepdhg_exact | iprepdhg
     tau: float = 0.01
     sigma: float = None              # pdhg only; default 1/(tau ||A||^2)
@@ -157,8 +167,9 @@ class RunResult:
     trace: Trace
     status: str                    # converged | not-converged
     outer_iters: int
-    time_s: float
+    time_s: float                  # algorithmic seconds; excludes monitoring
     final_delta: float = None
+    monitor_s: float = 0.0         # wall seconds of phi, feasibility, stop rules
 
 
 # ---------------------------------------------------------------------------
@@ -676,6 +687,7 @@ def run(problem, config):
     status = "not-converged"
     final_delta = None
     elapsed = 0.0
+    monitor_s = 0.0
 
     for k in range(1, cfg.max_outer + 1):
         tic = time.perf_counter()
@@ -711,8 +723,8 @@ def run(problem, config):
                                                          cfg.p)
         state.x = x_new
         state.z = z_new
-        state.sum_x = state.sum_x + x_new
-        state.sum_z = state.sum_z + z_new
+        state.sum_x += x_new
+        state.sum_z += z_new
         state.navg += 1
         state.k = k
         state.inner_per_iter.append(inner_count)
@@ -730,30 +742,41 @@ def run(problem, config):
             lyap = lyapunov(z_prev, y, u, m1, problem)
         elapsed += time.perf_counter() - tic
 
-        obj = problem.phi(x_new)
-        feas = problem.feasibility(x_new) if problem.feasibility else None
-        dz_norm = float(np.linalg.norm(z_new - z_prev))
-        delta = None
-        if cfg.phi_star is not None:
-            num = abs(obj - cfg.phi_star)
-            delta = 0.0 if num == 0.0 else num / max(abs(cfg.phi_star), 1e-300)
-            final_delta = delta
-        if k % cfg.log_every == 0 or k == cfg.max_outer:
-            trace.add(k=k, obj=obj, delta=delta, feas=feas, dz_norm=dz_norm,
-                      err_ratio=err_ratio, lyapunov=lyap, time_s=elapsed)
-
-        if cfg.tol_delta is not None and delta is not None and delta < cfg.tol_delta:
-            status = "converged"
-            break
+        # monitoring: each quantity only when a log row or a stop rule reads it
+        tic = time.perf_counter()
+        logged = k % cfg.log_every == 0 or k == cfg.max_outer
+        dz_norm = None
+        if logged or cfg.tol_residual is not None:
+            dz_norm = float(np.linalg.norm(z_new - z_prev))
+        stop_residual = False
         if cfg.tol_residual is not None:
             res = (max(np.linalg.norm(x_new - x_prev), dz_norm)
                    / (1.0 + np.linalg.norm(x_new) + np.linalg.norm(z_new)))
-            if res < cfg.tol_residual:
-                status = "converged"
-                break
-        if cfg.max_seconds is not None and elapsed >= cfg.max_seconds:
+            stop_residual = res < cfg.tol_residual
+        stop_time = cfg.max_seconds is not None and elapsed >= cfg.max_seconds
+        final = k == cfg.max_outer or stop_residual or stop_time
+        obj = delta = None
+        if logged or (cfg.phi_star is not None
+                      and (cfg.tol_delta is not None or final)):
+            obj = problem.phi(x_new)
+            if cfg.phi_star is not None:
+                num = abs(obj - cfg.phi_star)
+                delta = 0.0 if num == 0.0 else num / max(abs(cfg.phi_star), 1e-300)
+                final_delta = delta
+        if logged:
+            feas = problem.feasibility(x_new) if problem.feasibility else None
+            trace.add(k=k, obj=obj, delta=delta, feas=feas, dz_norm=dz_norm,
+                      err_ratio=err_ratio, lyapunov=lyap, time_s=elapsed)
+        stop_delta = (cfg.tol_delta is not None and delta is not None
+                      and delta < cfg.tol_delta)
+        monitor_s += time.perf_counter() - tic
+
+        if stop_delta or stop_residual:
+            status = "converged"
+            break
+        if stop_time:
             break
 
     return RunResult(state=state, trace=trace, status=status,
                      outer_iters=state.k, time_s=elapsed,
-                     final_delta=final_delta)
+                     final_delta=final_delta, monitor_s=monitor_s)

@@ -182,6 +182,25 @@ def test_compare_records_crashes_per_row(noisy_pgm, tmp_path, capsys):
     assert all(",error," not in l for l in good)
 
 
+def test_compare_validates_each_row_once(noisy_pgm, tmp_path, monkeypatch,
+                                         capsys):
+    from pdopt import solver
+    calls = []
+    validate = solver.validate_config
+
+    def counting(problem, config):
+        calls.append(config.algorithm)
+        return validate(problem, config)
+
+    monkeypatch.setattr(solver, "validate_config", counting)
+    code = main(["compare", "--output", str(tmp_path), "problem=tvl1",
+                 f"input={noisy_pgm}", "methods=pdhg,iprepdhg_bcd",
+                 "taus=0.1,0.01", "max_outer=20", "prefix=v"])
+    assert code == 0
+    capsys.readouterr()
+    assert sorted(calls) == ["iprepdhg"] * 2 + ["pdhg"] * 2
+
+
 def test_compare_jobs_flag_then_config_file_then_one(noisy_pgm, tmp_path,
                                                     monkeypatch, capsys):
     from pdopt import cli

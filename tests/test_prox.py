@@ -4,7 +4,7 @@ import pytest
 from pdopt.prox import (BoxIndicator, Concat, GroupL12, L1, LinearPlusBox,
                         PointIndicator, Quadratic, UnsupportedKindError,
                         UnsupportedMetricError, Zero, conj_prox,
-                        conj_prox_via_moreau, scalar_conj_prox)
+                        conj_prox_via_moreau)
 
 
 def _random_kinds(rng, n):
@@ -190,11 +190,14 @@ def test_conj_prox_quadratic_against_direct_formula():
 
 
 def test_scalar_conj_prox_examples():
-    assert scalar_conj_prox("l1", 5.0, 0.3, lam=1.0) == 1.0
-    assert scalar_conj_prox("linear", 1.0, 0.5, c=2.0) == 0.0
-    assert scalar_conj_prox("quad", 2.0, 1.0, center=1.0, weight=1.0) == 0.5
+    idx = np.array([0])
+    assert L1(1, lam=1.0).conj_prox_scalar(np.array([5.0]), 0.3, idx) == 1.0
+    # PointIndicator's conjugate is linear: <z, c>
+    assert PointIndicator([2.0]).conj_prox_scalar(np.array([1.0]), 0.5, idx) == 0.0
+    quad = Quadratic(1, weight=1.0, center=[1.0])
+    assert quad.conj_prox_scalar(np.array([2.0]), 1.0, idx) == 0.5
     with pytest.raises(UnsupportedKindError):
-        scalar_conj_prox("mystery", 1.0, 1.0)
+        BoxIndicator(1).conj_prox_scalar(np.array([1.0]), 1.0, idx)
 
 
 def test_conj_prox_scalar_matches_vector_path():

@@ -603,6 +603,86 @@ def test_max_seconds_stop():
     assert res.outer_iters < 10 ** 7
 
 
+class _Counted:
+    """A callable that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+def _monitored_problem(rng):
+    prob = _toy_problem(rng)
+    prob.objective = _Counted(lambda x: prob.f.value(x)
+                              + prob.g.value(prob.A.matvec(x)))
+    prob.feasibility = _Counted(lambda x: float(np.linalg.norm(x)))
+    return prob
+
+
+def test_run_monitors_only_logged_iterations():
+    prob = _monitored_problem(np.random.default_rng(28))
+    cfg = SolverConfig(algorithm="iprepdhg", inner="bcd", tau=0.01,
+                       max_outer=35, log_every=10)
+    res = run(prob, cfg)
+    assert res.trace.column("k") == [10, 20, 30, 35]
+    assert prob.objective.calls == 4
+    assert prob.feasibility.calls == 4
+
+
+def test_run_delta_stop_evaluates_phi_every_iteration():
+    prob = _monitored_problem(np.random.default_rng(29))
+    cfg = SolverConfig(algorithm="iprepdhg", inner="bcd", tau=0.01,
+                       max_outer=200, log_every=10 ** 6, phi_star=1.0,
+                       tol_delta=1e-12)
+    res = run(prob, cfg)
+    assert res.outer_iters == 200
+    assert prob.objective.calls == 200
+    assert prob.feasibility.calls == 1          # the final, logged iteration
+    assert math.isfinite(res.monitor_s) and res.monitor_s > 0
+
+
+def test_run_sparse_log_rows_match_dense_log():
+    prob = _toy_problem(np.random.default_rng(30))
+    rows = {}
+    for every in (1, 5):
+        cfg = SolverConfig(algorithm="iprepdhg", inner="bcd", tau=0.01,
+                           max_outer=23, log_every=every, phi_star=10.0,
+                           monitor_err_ratio=True, monitor_lyapunov=True)
+        text = run(prob, cfg).trace.csv_text(omit_time=True)
+        rows[every] = text.strip().split("\n")[1:]
+    keep = [r for r in rows[1] if int(r.split(",")[0]) % 5 == 0 or r.startswith("23,")]
+    assert [r.split(",")[0] for r in keep] == ["5", "10", "15", "20", "23"]
+    assert keep == rows[5]
+
+
+@pytest.mark.parametrize("stop", [
+    {"max_outer": 37},
+    {"tol_residual": 1e-4},
+    {"max_seconds": 0.05, "tol_residual": 0.0},
+    {"tol_delta": 1e-3}])
+def test_final_delta_is_the_final_iterate_delta(stop):
+    prob = _toy_problem(np.random.default_rng(31))
+    phi_star = 9.1787          # the optimum to 6e-6, relative
+    cfg = SolverConfig(**{"algorithm": "iprepdhg", "inner": "bcd", "tau": 0.01,
+                          "max_outer": 10 ** 7, "log_every": 10 ** 8,
+                          "phi_star": phi_star, **stop})
+    res = run(prob, cfg)
+    if "max_outer" in stop:
+        assert res.outer_iters == 37 and res.status == "not-converged"
+        assert res.trace.column("k") == [37]    # the last iteration is logged
+    else:
+        assert res.status == ("not-converged" if "max_seconds" in stop
+                              else "converged")
+        assert res.outer_iters < 10 ** 7
+        assert res.trace.records == []          # the final iterate is unlogged
+    assert res.final_delta == abs(prob.phi(res.state.x) - phi_star) / phi_star
+    assert math.isfinite(res.monitor_s) and res.monitor_s >= 0
+
+
 _HEAP_PROBE = """
 import ctypes
 import numpy as np
