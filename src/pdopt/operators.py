@@ -60,7 +60,11 @@ def div2d(ch1, ch2, h=1.0):
 
 
 class LinearOperator:
-    """Base class: forward ``matvec`` on R^n -> R^m and adjoint ``rmatvec``."""
+    """Base class: forward ``matvec`` on R^n -> R^m and adjoint ``rmatvec``.
+
+    Operators are immutable after construction: derived quantities such as
+    ``op_norm_sq_estimate`` are computed once and kept on the operator.
+    """
 
     shape = (0, 0)  # (m, n)
 
@@ -222,34 +226,49 @@ class StackedOp(LinearOperator):
         return sp.vstack([op.to_sparse() for op in self.ops], format="csr")
 
 
-def op_norm_sq_estimate(A, iters=200, tol=1e-10):
-    """Power-iteration estimate of lambda_max(A^T A), times a 1.01 safety factor.
+def power_iteration(apply, dim, iters=200, tol=1e-10):
+    """Power-iteration estimate of the largest eigenvalue of the symmetric PSD
+    map ``apply`` on R^dim.
 
     Deterministic: starts from a fixed-seed random vector (an all-ones start
-    would sit in the null space of difference operators).  Returns 0 for the
-    zero operator.
+    would sit in the null space of difference operators).  Stops when the
+    Rayleigh quotient changes by at most ``tol`` relative; returns 0 for the
+    zero map.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    n = A.shape[1]
-    v = np.random.default_rng(12345).standard_normal(n)
+    v = np.random.default_rng(12345).standard_normal(dim)
     nrm = np.linalg.norm(v)
     if nrm == 0:
         return 0.0
     v /= nrm
     lam = 0.0
     for _ in range(iters):
-        w = A.rmatvec(A.matvec(v))
+        w = apply(v)
         wn = np.linalg.norm(w)
         if wn == 0:
             return 0.0
         lam_new = float(v @ w)
         v = w / wn
         if lam > 0 and abs(lam_new - lam) <= tol * lam:
-            lam = lam_new
-            break
+            return lam_new
         lam = lam_new
-    return 1.01 * lam
+    return lam
+
+
+def op_norm_sq_estimate(A, iters=200, tol=1e-10):
+    """Power-iteration estimate of lambda_max(A^T A), times a 1.01 safety factor.
+
+    Computed once per operator and (iters, tol): the value is kept on ``A``,
+    which is immutable after construction.
+    """
+    # an operator without a __dict__ gets a throwaway memo: no caching
+    memo = getattr(A, "__dict__", {}).setdefault("_norm_sq_estimates", {})
+    key = (iters, tol)
+    if key not in memo:
+        memo[key] = 1.01 * power_iteration(
+            lambda v: A.rmatvec(A.matvec(v)), A.shape[1], iters, tol)
+    return memo[key]
 
 
 def block_gram(A, ordering):

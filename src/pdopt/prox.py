@@ -5,7 +5,9 @@ diagonal metric diag(d) (the minimizer of phi(y) + 1/2 * sum d_i (y_i-v_i)^2),
 and its convex conjugate's value.  Proxes of conjugates are derived through
 the generalized Moreau identity (``conj_prox``) instead of being hand-coded,
 except for the scalar fast paths used inside block-coordinate sweeps
-(``conj_prox_scalar``).
+(``conj_prox_kernel``, which ``conj_prox_scalar`` calls).  Functions are
+treated as immutable after construction: a bound kernel keeps the constants
+it gathered.
 """
 
 import numpy as np
@@ -17,6 +19,12 @@ class UnsupportedMetricError(ValueError):
 
 class UnsupportedKindError(ValueError):
     """Requested closed form not available for this function kind."""
+
+
+def _times_step(t, const, idx):
+    """``t * const[idx]``, or None when those constants are all zero."""
+    c = const[idx]
+    return t * c if c.any() else None
 
 
 def _as_diag(d, n):
@@ -50,6 +58,13 @@ class ProxFunction:
         coordinates ``idx``, plus 1/(2 t_i) (z_i - v_i)^2.  Only kinds whose
         conjugate prox decouples per scalar coordinate support this.
         """
+        return self.conj_prox_kernel(t, idx)(v)
+
+    def conj_prox_kernel(self, t, idx):
+        """``conj_prox_scalar`` with the step ``t`` and coordinates ``idx``
+        bound: a function ``v -> conj_prox_scalar(v, t, idx)`` that returns a
+        new array.  Binding gathers the per-coordinate constants times ``t``
+        once, or nothing when they are zero."""
         raise UnsupportedKindError(
             f"{type(self).__name__} has no scalar conjugate prox; "
             "use a gradient-based inner solver")
@@ -111,9 +126,12 @@ class L1(ProxFunction):
             return np.inf
         return float(y @ self.shift)
 
-    def conj_prox_scalar(self, v, t, idx):
+    def conj_prox_kernel(self, t, idx):
         # conjugate: <z, shift> + indicator(|z| <= lam)
-        return np.clip(v - t * self.shift[idx], -self.lam, self.lam)
+        lam, ts = self.lam, _times_step(t, self.shift, idx)
+        if ts is None:
+            return lambda v: np.clip(v, -lam, lam)
+        return lambda v: np.clip(v - ts, -lam, lam)
 
     def conj_residual(self, z, s):
         z = np.asarray(z, dtype=float)
@@ -254,8 +272,11 @@ class PointIndicator(ProxFunction):
     def conjugate_value(self, y, feas_tol=1e-8):
         return float(np.asarray(y, dtype=float) @ self.target)
 
-    def conj_prox_scalar(self, v, t, idx):
-        return v - t * self.target[idx]
+    def conj_prox_kernel(self, t, idx):
+        ts = _times_step(t, self.target, idx)
+        if ts is None:
+            return lambda v: np.array(v, dtype=float)
+        return lambda v: v - ts
 
     def conj_residual(self, z, s):
         return -(np.asarray(s, dtype=float) + self.target)
@@ -284,9 +305,13 @@ class Quadratic(ProxFunction):
         y = np.asarray(y, dtype=float)
         return float(y @ y) / (2.0 * self.weight) + float(y @ self.center)
 
-    def conj_prox_scalar(self, v, t, idx):
+    def conj_prox_kernel(self, t, idx):
         # conjugate: ||z||^2/(2w) + <z, center>
-        return self.weight * (v - t * self.center[idx]) / (self.weight + t)
+        w, ts = self.weight, _times_step(t, self.center, idx)
+        wt = w + t
+        if ts is None:
+            return lambda v: w * v / wt
+        return lambda v: w * (v - ts) / wt
 
     def conj_residual(self, z, s):
         z = np.asarray(z, dtype=float)
@@ -321,15 +346,26 @@ class Concat(ProxFunction):
         y = np.asarray(y, dtype=float)
         return float(sum(p.conjugate_value(y[sl], feas_tol) for p, sl in self._slices()))
 
-    def conj_prox_scalar(self, v, t, idx):
+    def conj_prox_kernel(self, t, idx):
+        # coordinates inside one part bind that part's kernel; a spread over
+        # several parts routes each part's coordinates through a fixed mask
         idx = np.asarray(idx, dtype=int)
-        out = np.empty(idx.size)
+        routes = []
         for p, sl in self._slices():
             mask = (idx >= sl.start) & (idx < sl.stop)
-            if np.any(mask):
-                out[mask] = p.conj_prox_scalar(v[mask], t[mask] if np.ndim(t) else t,
-                                               idx[mask] - sl.start)
-        return out
+            if not mask.any():
+                continue
+            if mask.all():
+                return p.conj_prox_kernel(t, idx - sl.start)
+            routes.append((mask, p.conj_prox_kernel(
+                t[mask] if np.ndim(t) else t, idx[mask] - sl.start)))
+
+        def kernel(v):
+            out = np.empty(idx.size)
+            for mask, part_kernel in routes:
+                out[mask] = part_kernel(v[mask])
+            return out
+        return kernel
 
     def conj_residual(self, z, s):
         z = np.asarray(z, dtype=float)

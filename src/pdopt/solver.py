@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import prox as _prox
-from .operators import OrderingError, StackedOp
+from .operators import OrderingError, StackedOp, power_iteration
 from .precond import (BlockDiag, Diagonal, Gram, Preconditioner,
                       ScaledIdentity, gram_precond, ordering_for,
                       scaled_identity)
@@ -249,10 +249,20 @@ class BcdPlan:
     removed, scaled row-wise by ``tau/h``, with columns in the order of
     ``idx``.  Building ``G_b`` also checks the ordering: an off-diagonal
     entry of ``A A^T`` inside a block raises OrderingError.
+
+    ``bind(g)`` gives every diagonal segment and every colour block its
+    scalar conjugate prox of ``g`` at the block's fixed step (``1/e`` or
+    ``inv_h``), from ``g.conj_prox_kernel``: a ``Concat`` resolves to the
+    one part that holds the block, and the part's constants times the step
+    are gathered once in plan order (nothing is stored for zero constants).
+    A block spread over several ``Concat`` parts routes through masks fixed
+    at binding.  ``validate_config`` binds ``problem.g``; a sweep with any
+    other ``g`` rebinds the plan first.
     """
 
     def __init__(self, A, m2, ordering=None):
         self.segments = []
+        self.g = self.kernels = None
         if isinstance(m2, (Diagonal, ScaledIdentity)):
             self.segments.append(("diag", 0, m2.dim, m2.diagonal()))
             self.num_blocks = 1
@@ -328,13 +338,30 @@ class BcdPlan:
             start = stop
         return ("gram", lo, lo + m, lo + order, 1.0 / h[order], per_block)
 
+    def bind(self, g):
+        """The per-segment kernels of ``g``: one for a diagonal segment, a
+        list with one per colour block for a Gram segment.  Raises
+        UnsupportedKindError if ``g`` has no scalar conjugate prox."""
+        if g is not self.g:
+            kernels = []
+            for seg in self.segments:
+                if seg[0] == "diag":
+                    _, lo, hi, e = seg
+                    kernels.append(g.conj_prox_kernel(1.0 / e, np.arange(lo, hi)))
+                else:
+                    _, _, _, idx, inv_h, blocks = seg
+                    kernels.append([g.conj_prox_kernel(inv_h[sl], idx[sl])
+                                    for sl, _ in blocks])
+            self.g, self.kernels = g, kernels
+        return self.kernels
+
 
 def inner_bcd(sub, plan, p):
     """p epochs of cyclic proximal BCD; each block update is an exact closed form."""
     if p < 1:
         raise ConfigError("p must be >= 1")
     z = sub.z_ref.copy()
-    _bcd_sweep(sub, plan, z, p)
+    _bcd_sweep(sub, plan, z, p, at_ref=True)
     return z, p
 
 
@@ -376,48 +403,32 @@ def _bcd_from(sub, plan, z_start):
     return z
 
 
-def _bcd_sweep(sub, plan, z, epochs):
-    """`epochs` in-place BCD epochs over z.
+def _bcd_sweep(sub, plan, z, epochs, at_ref=False):
+    """`epochs` in-place BCD epochs over z; ``at_ref`` says z equals z_ref.
 
     A diagonal segment does not depend on z, so it is solved once.  A Gram
-    segment gathers z_ref, q and z over its live rows once and forms
-    c = z_ref + q/h; block b then sets v = c_b - G_b (z - z_ref) and
-    z_b = conj_prox_scalar(v, 1/h_b), and one scatter writes z back.
+    segment gathers z_ref and q over its live rows once and forms
+    c = z_ref + q/h; block b then sets dz_b = kernel_b(c_b - G_b dz) - z_ref_b
+    with dz = z - z_ref, and one scatter writes z back.
     """
-    g = sub.g
-    for seg in plan.segments:
+    for seg, kernel in zip(plan.segments, plan.bind(sub.g)):
         if seg[0] == "diag":
             _, lo, hi, e = seg
-            v = sub.z_ref[lo:hi] + sub.q[lo:hi] / e
-            z[lo:hi] = g.conj_prox_scalar(v, 1.0 / e, np.arange(lo, hi))
+            z[lo:hi] = kernel(sub.z_ref[lo:hi] + sub.q[lo:hi] / e)
         else:
             _, _, _, idx, inv_h, blocks = seg
             z_ref = sub.z_ref[idx]
             c = z_ref + sub.q[idx] * inv_h
-            dz = z[idx] - z_ref
+            dz = np.zeros(idx.size) if at_ref else z[idx] - z_ref
             for _ in range(epochs):
-                for sl, gram in blocks:
-                    v = c[sl] - gram @ dz
-                    dz[sl] = g.conj_prox_scalar(v, inv_h[sl], idx[sl]) - z_ref[sl]
+                for (sl, gram), block_kernel in zip(blocks, kernel):
+                    dz[sl] = block_kernel(c[sl] - gram @ dz) - z_ref[sl]
             z[idx] = z_ref + dz
 
 
 def m2_norm_estimate(m2, iters=200, tol=1e-10):
     """Power-iteration estimate of lambda_max(M2), deterministic seeded start."""
-    v = np.random.default_rng(12345).standard_normal(m2.dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = m2.apply(v)
-        wn = np.linalg.norm(w)
-        if wn == 0:
-            return 0.0
-        lam_new = float(v @ w)
-        v = w / wn
-        if lam > 0 and abs(lam_new - lam) <= tol * lam:
-            return lam_new
-        lam = lam_new
-    return lam
+    return power_iteration(m2.apply, m2.dim, iters, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +653,14 @@ def validate_config(problem, config):
             continue        # sigma and gamma default to stepsizes from ||A||, ||M2||
         if value is None or not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+    for name, dim in (("x0", n), ("z0", m)):
+        start = getattr(cfg, name)
+        if start is not None and np.shape(start) != (dim,):
+            raise ConfigError(f"{name} must have shape ({dim},), got {np.shape(start)}")
+    for name, dim in (("m1", n), ("m2", m)):
+        metric = getattr(cfg, name)
+        if metric is not None and metric.dim != dim:
+            raise ConfigError(f"{name} is {metric.dim}-dim, A is {m}x{n}")
     if cfg.algorithm == "pdhg":
         if cfg.inner is not None:
             raise ConfigError("pdhg takes no inner iterator")
@@ -661,7 +680,12 @@ def validate_config(problem, config):
         inner = "bcd"
     out = {"m1": m1, "m2": m2, "inner": inner}
     if inner == "bcd":
-        out["plan"] = BcdPlan(problem.A, m2, cfg.ordering)
+        plan = BcdPlan(problem.A, m2, cfg.ordering)
+        try:
+            plan.bind(problem.g)
+        except _prox.UnsupportedKindError as exc:
+            raise ConfigError(f"inner='bcd' needs a scalar conjugate prox: {exc}") from None
+        out["plan"] = plan
     elif inner in ("proxgrad", "fista_restart", None):
         gamma = cfg.gamma
         if gamma is None:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdopt.prox import (BoxIndicator, Concat, GroupL12, L1, LinearPlusBox,
                         PointIndicator, Quadratic, UnsupportedKindError,
@@ -235,6 +236,74 @@ def test_concat_dispatch():
                                                           np.array([1]))[0])
     np.testing.assert_allclose(got[1:], l.conj_prox_scalar(v[1:], t[1:],
                                                            np.array([1, 3])))
+
+
+def _scalar_closed_form(phi, v, t, idx):
+    """Each kind's scalar conjugate prox written out, with Concat's masked
+    dispatch by global index: the reference a bound kernel must match."""
+    if isinstance(phi, Concat):
+        out = np.empty(idx.size)
+        for part, lo, hi in zip(phi.parts, phi.offsets, phi.offsets[1:]):
+            mask = (idx >= lo) & (idx < hi)
+            if mask.any():
+                out[mask] = _scalar_closed_form(
+                    part, v[mask], t[mask] if np.ndim(t) else t, idx[mask] - lo)
+        return out
+    if isinstance(phi, L1):
+        return np.clip(v - t * phi.shift[idx], -phi.lam, phi.lam)
+    if isinstance(phi, PointIndicator):
+        return v - t * phi.target[idx]
+    return phi.weight * (v - t * phi.center[idx]) / (phi.weight + t)
+
+
+def _kernel_case(kind, rng):
+    """(phi, idx) for one kind; Concat parts hold 3 to 6 coordinates each."""
+    n = int(rng.integers(3, 9))
+    if kind == "l1":
+        return L1(n, lam=0.7), rng.permutation(n)[:n - 1]
+    if kind == "l1-shift":
+        return L1(n, lam=0.7, shift=rng.standard_normal(n)), rng.permutation(n)
+    if kind == "point":
+        return PointIndicator(rng.standard_normal(n)), rng.permutation(n)[:2]
+    if kind == "quadratic":
+        return Quadratic(n, weight=1.3, center=rng.standard_normal(n)), rng.permutation(n)
+    sizes = rng.integers(3, 7, 3)
+    cat = Concat([Quadratic(int(sizes[0]), weight=0.6, center=rng.standard_normal(sizes[0])),
+                  L1(int(sizes[1]), lam=0.9),
+                  PointIndicator(rng.standard_normal(sizes[2]))])
+    lo, hi = cat.offsets[1], cat.offsets[2]
+    if kind == "concat-inside":        # a block inside the L1 part
+        return cat, lo + rng.permutation(hi - lo)[:2]
+    # a block over the first two parts and maybe the third, in mixed order
+    inside = rng.permutation(cat.dim)[:int(rng.integers(2, cat.dim))]
+    return cat, rng.permutation(np.concatenate([[0, lo], inside[inside > lo]]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["l1", "l1-shift", "point", "quadratic",
+                             "concat-inside", "concat-spanning"]),
+       seed=st.integers(0, 2 ** 32 - 1), scalar_t=st.booleans())
+def test_bound_kernel_is_the_closed_form_bit_for_bit(kind, seed, scalar_t):
+    rng = np.random.default_rng(seed)
+    phi, idx = _kernel_case(kind, rng)
+    t = float(rng.uniform(0.1, 5.0)) if scalar_t else rng.uniform(0.1, 5.0, idx.size)
+    v = 3.0 * rng.standard_normal(idx.size)
+    want = _scalar_closed_form(phi, v, t, idx)
+    kernel = phi.conj_prox_kernel(t, idx)
+    got = kernel(v)
+    assert got is not v
+    assert got.tobytes() == want.tobytes()
+    assert phi.conj_prox_scalar(v, t, idx).tobytes() == want.tobytes()
+    assert kernel(v).tobytes() == want.tobytes()      # binding is reusable
+
+
+def test_kernel_of_unsupported_kind_raises():
+    idx = np.arange(2)
+    for phi in (BoxIndicator(2), Concat([L1(2), BoxIndicator(2)])):
+        with pytest.raises(UnsupportedKindError, match="BoxIndicator"):
+            phi.conj_prox_kernel(1.0, idx + 2 * isinstance(phi, Concat))
+    # a Concat block that misses the unsupported part still binds
+    Concat([L1(2), BoxIndicator(2)]).conj_prox_kernel(1.0, idx)
 
 
 def test_conj_residual_zero_at_conjugate_prox_point():

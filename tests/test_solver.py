@@ -7,13 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 import pdopt
 
 from pdopt.operators import Div2D, Grad2D, SparseOp
 from pdopt.precond import (Diagonal, Gram, ScaledIdentity, gram_precond,
-                           metric_spectrum, scaled_identity)
-from pdopt.prox import (L1, PointIndicator, Quadratic, Zero, conj_prox)
+                           metric_spectrum, scaled_identity, two_block_ordering)
+from pdopt.prox import (BoxIndicator, Concat, L1, PointIndicator, Quadratic,
+                        UnsupportedKindError, Zero, conj_prox)
 from pdopt.solver import (BcdPlan, ConfigError, InfeasibleStepsizeError,
                           SaddleProblem, SingularMetricError, SolverConfig,
                           ZSubproblem, admm_dual_step, bcd_gamma_feasible,
@@ -256,6 +258,103 @@ def test_inner_bcd_ct_block_plan_is_gauss_seidel():
                     z[i] = np.clip(v, -lam, lam)
         z_got, _ = inner_bcd(sub, plan, p)
         np.testing.assert_allclose(z_got, z, atol=1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(2, 7), cols=st.integers(2, 7), p=st.integers(1, 3),
+       tau=st.floats(0.05, 2.0), h=st.floats(0.5, 3.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_inner_bcd_is_dense_red_black_gauss_seidel(rows, cols, p, tau, h, seed):
+    # linear conjugate: p epochs equal p dense red-black Gauss-Seidel sweeps
+    # on  M2 (z - z_ref) = q - target
+    rng = np.random.default_rng(seed)
+    A = Div2D(rows, cols, h)
+    m = A.shape[0]
+    m2 = Gram(tau, A)
+    g = PointIndicator(rng.standard_normal(m))
+    z_ref, q = rng.standard_normal(m), rng.standard_normal(m)
+    z_got, _ = inner_bcd(ZSubproblem(z_ref, q, m2, g), BcdPlan(A, m2), p)
+    dense = m2.dense()
+    rhs = q - g.target
+    dz = np.zeros(m)
+    for _ in range(p):
+        for blk in two_block_ordering(rows, cols).blocks:
+            for i in blk:
+                dz[i] = (rhs[i] - dense[i] @ dz + dense[i, i] * dz[i]) / dense[i, i]
+    scale = 1.0 + np.max(np.abs(z_ref + dz))
+    np.testing.assert_allclose(z_got, z_ref + dz, rtol=0, atol=1e-12 * scale)
+
+
+def test_solve_subproblem_exact_with_bcd_plan_matches_dense():
+    # BCD epochs from the previous epoch's point, not z_ref, until the step
+    # vanishes; the ridge keeps Grad2D's structurally zero rows live
+    rng = np.random.default_rng(32)
+    A = Grad2D(3, 3)
+    m = A.shape[0]
+    g = Quadratic(m, weight=1.4, center=rng.standard_normal(m))
+    m2 = Gram(0.4, A, ridge=0.3)
+    z_ref, q = rng.standard_normal(m), rng.standard_normal(m)
+    dense = m2.dense()
+    z_star = np.linalg.solve(np.eye(m) / g.weight + dense,
+                             dense @ z_ref + q - g.center)
+    z = solve_subproblem_exact(ZSubproblem(z_ref, q, m2, g), tol=1e-14,
+                               plan=BcdPlan(A, m2))
+    assert np.linalg.norm(z - z_star) <= 1e-10
+
+
+def test_bcd_plan_rebinds_for_another_g():
+    # a plan bound to problem.g is swept with other functions: each sweep
+    # binds its own g
+    rng = np.random.default_rng(29)
+    A = Div2D(5, 4)
+    m = A.shape[0]
+    m2 = Gram(0.4, A)
+    prob = SaddleProblem(f=Zero(A.shape[1]), g=L1(m, lam=0.5), A=A)
+    plan = validate_config(prob, SolverConfig(tau=0.4, m2=m2))["plan"]
+    assert plan.g is prob.g
+    z_ref, q = rng.standard_normal(m), rng.standard_normal(m)
+    target = rng.standard_normal(m)
+    want, _ = inner_bcd(ZSubproblem(z_ref, q, m2, PointIndicator(target)),
+                        BcdPlan(A, m2), 2)
+    for g in (PointIndicator(target), PointIndicator(target)):   # two objects
+        got, _ = inner_bcd(ZSubproblem(z_ref, q, m2, g), plan, 2)
+        assert plan.g is g
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(UnsupportedKindError):
+        inner_bcd(ZSubproblem(z_ref, q, m2, BoxIndicator(m)), plan, 1)
+
+
+def test_bcd_plan_block_over_two_concat_parts():
+    # a Concat split inside a colour block: the block routes each part's
+    # coordinates to its own closed form
+    rng = np.random.default_rng(30)
+    A = Grad2D(3, 3)
+    m = A.shape[0]
+    m2 = Gram(0.4, A)
+    plan = BcdPlan(A, m2)
+    split = int(plan.segments[0][3][2])        # the third row of block 0
+    parts = [L1(split, lam=0.8), Quadratic(m - split, weight=1.5,
+                                           center=rng.standard_normal(m - split))]
+    z_ref, q = np.clip(rng.standard_normal(m), -0.8, 0.8), rng.standard_normal(m)
+    sub = ZSubproblem(z_ref, q, m2, Concat(parts))
+    z_got, _ = inner_bcd(sub, plan, 2)
+    dense = m2.dense()
+    from pdopt.precond import four_block_ordering
+    z = z_ref.copy()
+    for _ in range(2):
+        for blk in four_block_ordering(3, 3).blocks:
+            for i in blk:
+                h = dense[i, i]
+                if h == 0:
+                    continue
+                cross = dense[i, :] @ (z - z_ref) - h * (z[i] - z_ref[i])
+                v = z_ref[i] + (q[i] - cross) / h
+                if i < split:
+                    z[i] = np.clip(v, -0.8, 0.8)
+                else:
+                    w, c = 1.5, parts[1].center[i - split]
+                    z[i] = w * (v - c / h) / (w + 1.0 / h)
+    np.testing.assert_allclose(z_got, z, atol=1e-13)
 
 
 def test_bcd_plan_rejects_coupled_block():
@@ -508,6 +607,36 @@ def test_pdhg_rejects_bad_stepsizes():
     cfg = SolverConfig(algorithm="pdhg", tau=1.0, sigma=100.0)
     with pytest.raises(ConfigError):
         validate_config(prob, cfg)
+
+
+@pytest.mark.parametrize("g", [BoxIndicator(72, -1.0, 1.0),
+                               Concat([L1(36), BoxIndicator(36)])])
+def test_bcd_rejects_g_without_scalar_conj_prox(g):
+    # the box's conjugate prox has no scalar closed form, so the BCD sweep
+    # cannot run it: the config fails before the first iteration
+    prob = SaddleProblem(f=Zero(36), g=g, A=Grad2D(6, 6))
+    cfg = SolverConfig(algorithm="iprepdhg", tau=0.01, max_outer=3)
+    with pytest.raises(ConfigError, match="BoxIndicator"):
+        validate_config(prob, cfg)
+    with pytest.raises(ConfigError, match="BoxIndicator"):
+        run(prob, cfg)
+    run(prob, SolverConfig(algorithm="iprepdhg", inner="proxgrad", tau=0.01,
+                           max_outer=3))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("x0", np.zeros(35)), ("z0", np.zeros((72, 1))),
+    ("m1", ScaledIdentity(100.0, 37)), ("m2", Gram(0.01, Grad2D(5, 5)))])
+def test_config_rejects_mismatched_shapes(field, value):
+    prob = _toy_problem(np.random.default_rng(31))       # A is 72 x 36
+    algorithms = ("pdhg", "iprepdhg") if field in ("x0", "z0") else ("iprepdhg",)
+    for algorithm in algorithms:
+        cfg = SolverConfig(algorithm=algorithm, tau=0.01, max_outer=2,
+                           **{field: value})
+        with pytest.raises(ConfigError, match=field):
+            validate_config(prob, cfg)
+        with pytest.raises(ConfigError, match=field):
+            run(prob, cfg)
 
 
 def test_run_fixed_inner_effort():
