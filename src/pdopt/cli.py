@@ -163,6 +163,9 @@ _SOLVER_KEYS = ("algorithm", "tau", "sigma", "inner", "gamma", "p",
 
 
 def build_solver_config(instance, cfg):
+    """The SolverConfig of a solve from the config keys; a setting that
+    cannot make one is a CliError.  ``cmd_solve`` validates it against the
+    problem once and hands what that resolves to ``solver.run``."""
     overrides = {k: cfg[k] for k in _SOLVER_KEYS if k in cfg}
     if overrides.get("algorithm") == "pdhg":
         if cfg.get("inner"):
@@ -174,11 +177,9 @@ def build_solver_config(instance, cfg):
     if "tol_delta" not in overrides and "tol_residual" not in overrides:
         overrides["tol_residual"] = 1e-8
     try:
-        sc = instance.config(**overrides)
-        solver.validate_config(instance.problem, sc)
+        return instance.config(**overrides)
     except ValueError as exc:
         raise CliError(str(exc))
-    return sc
 
 
 def _output_dir(cfg, args):
@@ -206,9 +207,13 @@ def cmd_solve(args):
     cfg = parse_config(args)
     instance = build_problem(cfg)
     sc = build_solver_config(instance, cfg)
+    try:
+        resolved = solver.validate_config(instance.problem, sc)
+    except ValueError as exc:
+        raise CliError(str(exc))
     outdir = _output_dir(cfg, args)
     prefix = cfg.get("prefix", instance.name)
-    res = solver.run(instance.problem, sc)
+    res = solver.run(instance.problem, sc, resolved)
     omit_time = cfg.get("time_stamps", "on") == "off"
     try:
         res.trace.to_csv(os.path.join(outdir, f"{prefix}_trace.csv"),

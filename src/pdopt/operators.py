@@ -27,6 +27,40 @@ class OrderingError(ValueError):
     """A block ordering is incompatible with the operator it was used on."""
 
 
+def _grad_into(u, out, h):
+    """Forward differences of the M x N array ``u`` into ``out`` (2, M, N),
+    zero last row of channel 1 and last column of channel 2, divided by
+    ``h`` in place (skipped for h == 1: x / 1.0 == x bit for bit)."""
+    ch1, ch2 = out
+    np.subtract(u[1:], u[:-1], out=ch1[:-1])
+    ch1[-1] = 0.0
+    np.subtract(u[:, 1:], u[:, :-1], out=ch2[:, :-1])
+    ch2[:, -1] = 0.0
+    if h != 1.0:
+        out /= h
+    return out
+
+
+def _div_into(ch1, ch2, out, h):
+    """Divergence of the M x N channels into ``out`` (M, N), divided by ``h``
+    in place (skipped for h == 1).
+
+    Vertical channel: p1[i,j] - p1[i-1,j], with p1[-1,.] treated as 0 and the
+    stored last row of ch1 ignored (a structural zero of the gradient);
+    horizontal likewise.  The operations and their order are those of adding
+    into a zero array, so signed zeros come out the same: ``0.0 + p``, not
+    a copy of ``p``.
+    """
+    np.add(0.0, ch1[:-1], out=out[:-1])
+    out[-1] = 0.0
+    out[1:] -= ch1[:-1]
+    out[:, :-1] += ch2[:, :-1]
+    out[:, 1:] -= ch2[:, :-1]
+    if h != 1.0:
+        out /= h
+    return out
+
+
 def grad2d(u, h=1.0):
     """Forward-difference gradient of a 2D array.
 
@@ -36,10 +70,7 @@ def grad2d(u, h=1.0):
     if h <= 0:
         raise ValueError("h must be positive")
     u = np.asarray(u, dtype=float)
-    ch1 = np.zeros_like(u)
-    ch2 = np.zeros_like(u)
-    ch1[:-1, :] = (u[1:, :] - u[:-1, :]) / h
-    ch2[:, :-1] = (u[:, 1:] - u[:, :-1]) / h
+    ch1, ch2 = _grad_into(u, np.empty((2,) + u.shape), h)
     return ch1, ch2
 
 
@@ -49,14 +80,7 @@ def div2d(ch1, ch2, h=1.0):
         raise ValueError("h must be positive")
     ch1 = np.asarray(ch1, dtype=float)
     ch2 = np.asarray(ch2, dtype=float)
-    out = np.zeros_like(ch1)
-    # vertical channel: p1[i,j] - p1[i-1,j], with p1[-1,·] treated as 0 and
-    # the stored last row of ch1 ignored (it is a structural zero of grad2d)
-    out[:-1, :] += ch1[:-1, :]
-    out[1:, :] -= ch1[:-1, :]
-    out[:, :-1] += ch2[:, :-1]
-    out[:, 1:] -= ch2[:, :-1]
-    return out / h
+    return _div_into(ch1, ch2, np.empty(ch1.shape), h)
 
 
 class LinearOperator:
@@ -106,15 +130,18 @@ class Grad2D(LinearOperator):
 
     def matvec(self, x):
         x = self._check_forward(x)
-        ch1, ch2 = grad2d(x.reshape(self.rows, self.cols), self.h)
-        return np.concatenate([ch1.ravel(), ch2.ravel()])
+        out = np.empty(self.shape[0])
+        _grad_into(x.reshape(self.rows, self.cols),
+                   out.reshape(2, self.rows, self.cols), self.h)
+        return out
 
     def rmatvec(self, z):
-        z = self._check_adjoint(z)
-        mn = self.rows * self.cols
-        ch1 = z[:mn].reshape(self.rows, self.cols)
-        ch2 = z[mn:].reshape(self.rows, self.cols)
-        return -div2d(ch1, ch2, self.h).ravel()
+        # -div(z) / h as div(z) / (-h): the quotient's sign is the xor of
+        # the operands' signs, so this equals the negation for any non-NaN z
+        z = self._check_adjoint(z).reshape(2, self.rows, self.cols)
+        out = np.empty(self.shape[1])
+        _div_into(z[0], z[1], out.reshape(self.rows, self.cols), -self.h)
+        return out
 
     def to_sparse(self):
         m, n = self.rows, self.cols
@@ -151,7 +178,8 @@ class WeightedGrad2D(LinearOperator):
         self.shape = self.base.shape
 
     def matvec(self, x):
-        return self.w * self.base.matvec(x)
+        out = self.base.matvec(x)
+        return np.multiply(self.w, out, out=out)
 
     def rmatvec(self, z):
         return self.base.rmatvec(self.w * self._check_adjoint(z))
@@ -169,14 +197,19 @@ class Div2D(LinearOperator):
         self.shape = (rows * cols, 2 * rows * cols)
 
     def matvec(self, p):
-        p = self._check_forward(p)
-        mn = self.rows * self.cols
-        ch1 = p[:mn].reshape(self.rows, self.cols)
-        ch2 = p[mn:].reshape(self.rows, self.cols)
-        return div2d(ch1, ch2, self.h).ravel()
+        p = self._check_forward(p).reshape(2, self.rows, self.cols)
+        out = np.empty(self.shape[0])
+        _div_into(p[0], p[1], out.reshape(self.rows, self.cols), self.h)
+        return out
 
     def rmatvec(self, z):
-        return -self.grad.matvec(self._check_adjoint(z))
+        # -grad(z) with the sign folded into the division by -h (see
+        # Grad2D.rmatvec); the structural zeros come out as -0.0
+        z = self._check_adjoint(z)
+        out = np.empty(self.shape[1])
+        _grad_into(z.reshape(self.rows, self.cols),
+                   out.reshape(2, self.rows, self.cols), -self.h)
+        return out
 
     def to_sparse(self):
         return (-self.grad.to_sparse().T).tocsr()

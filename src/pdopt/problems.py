@@ -305,10 +305,11 @@ def reference_solve(instance, tol=1e-10, max_outer=200000, x0=None, z0=None):
           "x0": x0, "z0": z0, "log_every": max(1, max_outer)}
     try:
         cfg = instance.config(inner="bcd", **kw)
-        _solver.validate_config(prob, cfg)
+        resolved = _solver.validate_config(prob, cfg)
     except (ValueError, _prox.UnsupportedKindError):
         cfg = instance.config(inner=None, **kw)
-    res = _solver.run(prob, cfg)
+        resolved = None
+    res = _solver.run(prob, cfg, resolved)
     x, z = res.state.x, res.state.z
     x_start = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
     z_start = np.zeros(m) if z0 is None else np.asarray(z0, dtype=float)

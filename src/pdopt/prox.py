@@ -2,12 +2,13 @@
 
 Every function here knows three things: its value, its prox under a
 diagonal metric diag(d) (the minimizer of phi(y) + 1/2 * sum d_i (y_i-v_i)^2),
-and its convex conjugate's value.  Proxes of conjugates are derived through
-the generalized Moreau identity (``conj_prox``) instead of being hand-coded,
-except for the scalar fast paths used inside block-coordinate sweeps
-(``conj_prox_kernel``, which ``conj_prox_scalar`` calls).  Functions are
-treated as immutable after construction: a bound kernel keeps the constants
-it gathered.
+and its convex conjugate's value.  The prox is written once, as a kernel with
+the metric bound (``prox_kernel``, which ``prox`` calls).  Proxes of
+conjugates are derived through the generalized Moreau identity
+(``conj_prox``) instead of being hand-coded, except for the scalar fast paths
+used inside block-coordinate sweeps (``conj_prox_kernel``, which
+``conj_prox_scalar`` calls).  Functions are treated as immutable after
+construction: a bound kernel keeps the constants it computed.
 """
 
 import numpy as np
@@ -27,13 +28,13 @@ def _times_step(t, const, idx):
     return t * c if c.any() else None
 
 
-def _as_diag(d, n):
+def _metric(d):
+    """A metric to bind: a float for a scalar ``d``, so bound constants stay
+    scalars, else the array.  Raises unless strictly positive."""
     d = np.asarray(d, dtype=float)
-    if d.ndim == 0:
-        d = np.full(n, float(d))
     if np.any(d <= 0):
         raise ValueError("diagonal metric must be strictly positive")
-    return d
+    return float(d) if d.ndim == 0 else d
 
 
 class ProxFunction:
@@ -46,6 +47,14 @@ class ProxFunction:
 
     def prox(self, v, d):
         """Minimizer of value(y) + 1/2 ||y - v||^2_diag(d)."""
+        return self.prox_kernel(d)(v)
+
+    def prox_kernel(self, d):
+        """``prox`` with the metric ``d`` bound: a function ``v -> prox(v, d)``
+        that returns a new array.  Binding checks the metric once (``d > 0``
+        where the prox reads it) and computes the constants that depend on
+        it, such as ``lam/d``; a scalar ``d`` keeps them scalars.  The solvers
+        bind the x-step prox once per run."""
         raise NotImplementedError
 
     def conjugate_value(self, y, feas_tol=1e-8):
@@ -84,8 +93,8 @@ class Zero(ProxFunction):
     def value(self, x):
         return 0.0
 
-    def prox(self, v, d):
-        return np.asarray(v, dtype=float).copy()
+    def prox_kernel(self, d):
+        return lambda v: np.array(v, dtype=float)
 
     def conjugate_value(self, y, feas_tol=1e-8):
         y = np.asarray(y, dtype=float)
@@ -113,12 +122,18 @@ class L1(ProxFunction):
     def value(self, x):
         return self.lam * float(np.sum(np.abs(np.asarray(x) - self.shift)))
 
-    def prox(self, v, d):
-        v = np.asarray(v, dtype=float)
-        d = _as_diag(d, self.dim)
-        w = v - self.shift
-        thr = self.lam / d
-        return self.shift + np.sign(w) * np.maximum(np.abs(w) - thr, 0.0)
+    def prox_kernel(self, d):
+        shift, thr = self.shift, self.lam / _metric(d)
+
+        def kernel(v):
+            # shift + sign(w) * max(|w| - thr, 0), one temporary
+            w = np.asarray(v, dtype=float) - shift
+            out = np.abs(w)
+            out -= thr
+            np.maximum(out, 0.0, out=out)
+            np.multiply(np.sign(w), out, out=out)
+            return np.add(shift, out, out=out)
+        return kernel
 
     def conjugate_value(self, y, feas_tol=1e-8):
         y = np.asarray(y, dtype=float)
@@ -152,7 +167,16 @@ class GroupL12(ProxFunction):
     ``groups`` is the (num_groups, group_size) index array as given; the
     kernels read its member-major copy ``members`` (group_size, num_groups)
     and reduce over axis 0, which keeps each gather and reduction contiguous
-    for any group layout.
+    for any group layout.  When ``members`` is ``arange(dim)`` row by row
+    (``contiguous``; EMD's pairs ``(i, n + i)``), the kernels work on a
+    reshaped view instead, with no gather or scatter.
+
+    ``prox_kernel(d)`` checks once that the metric is constant within each
+    group (else UnsupportedMetricError) and keeps one metric value per
+    group.  The kernel scales each group by ``max(0, 1 - lam / (d |v_g|))``
+    with ``d |v_g|`` clamped from below at ``lam``: the clamp only turns
+    factors that would be negative into 0, and a zero-norm group gets 0
+    without a division by zero or a mask.
     """
 
     def __init__(self, dim, groups, lam=1.0):
@@ -162,32 +186,56 @@ class GroupL12(ProxFunction):
         flat = np.sort(groups.ravel())
         if flat.size != dim or not np.array_equal(flat, np.arange(dim)):
             raise ValueError("groups must partition the coordinate set")
+        if lam <= 0:
+            raise ValueError("lam must be positive")
         self.dim = dim
         self.groups = groups
         self.members = np.ascontiguousarray(groups.T)
+        self.contiguous = np.array_equal(
+            self.members, np.arange(dim).reshape(self.members.shape))
         self.lam = float(lam)
 
+    def _grouped(self, x):
+        """x member-major, (group_size, num_groups): a view when the layout is
+        contiguous, else a gathered copy."""
+        x = np.asarray(x, dtype=float)
+        return x.reshape(self.members.shape) if self.contiguous else x[self.members]
+
+    @staticmethod
+    def _norms(xg):
+        # np.linalg.norm(xg, axis=0) without its dispatch: the same sum of
+        # squares, reduced in row order
+        return np.sqrt(np.add.reduce(xg * xg, axis=0))
+
     def _group_norms(self, x):
-        return np.linalg.norm(np.asarray(x, dtype=float)[self.members], axis=0)
+        return self._norms(self._grouped(x))
 
     def value(self, x):
         return self.lam * float(np.sum(self._group_norms(x)))
 
-    def prox(self, v, d):
-        v = np.asarray(v, dtype=float)
-        d = _as_diag(d, self.dim)
-        dg = d[self.members]
-        if np.max(np.abs(dg - dg[0])) > 1e-12 * (1.0 + np.max(dg)):
-            raise UnsupportedMetricError(
-                "group shrinkage needs a metric constant within each group")
-        vg = v[self.members]
-        norms = np.linalg.norm(vg, axis=0)
-        scale = np.zeros_like(norms)
-        nz = norms > 0
-        scale[nz] = np.maximum(0.0, 1.0 - self.lam / (dg[0, nz] * norms[nz]))
-        out = np.empty_like(v)
-        out[self.members] = vg * scale
-        return out
+    def prox_kernel(self, d):
+        d = _metric(d)
+        if np.ndim(d):
+            dg = d[self.members]
+            if np.max(np.abs(dg - dg[0])) > 1e-12 * (1.0 + np.max(dg)):
+                raise UnsupportedMetricError(
+                    "group shrinkage needs a metric constant within each group")
+            d = dg[0]
+        lam, members, contiguous = self.lam, self.members, self.contiguous
+
+        def kernel(v):
+            vg = self._grouped(v)
+            scale = d * self._norms(vg)
+            np.fmax(scale, lam, out=scale)
+            np.divide(lam, scale, out=scale)
+            np.subtract(1.0, scale, out=scale)
+            vg = vg * scale
+            if contiguous:
+                return vg.reshape(-1)
+            out = np.empty(vg.size)
+            out[members] = vg
+            return out
+        return kernel
 
     def conjugate_value(self, y, feas_tol=1e-8):
         if np.max(self._group_norms(y), initial=0.0) > self.lam + feas_tol:
@@ -210,8 +258,9 @@ class BoxIndicator(ProxFunction):
         ok = np.all(x >= self.lo - feas_tol) and np.all(x <= self.hi + feas_tol)
         return 0.0 if ok else np.inf
 
-    def prox(self, v, d):
-        return np.clip(np.asarray(v, dtype=float), self.lo, self.hi)
+    def prox_kernel(self, d):
+        lo, hi = self.lo, self.hi
+        return lambda v: np.clip(np.asarray(v, dtype=float), lo, hi)
 
     def conjugate_value(self, y, feas_tol=1e-8):
         y = np.asarray(y, dtype=float)
@@ -245,10 +294,13 @@ class LinearPlusBox(ProxFunction):
         ok = np.all(x >= self.lo - feas_tol) and np.all(x <= self.hi + feas_tol)
         return float(self.c @ x) if ok else np.inf
 
-    def prox(self, v, d):
-        v = np.asarray(v, dtype=float)
-        d = _as_diag(d, self.dim)
-        return np.clip(v - self.c / d, self.lo, self.hi)
+    def prox_kernel(self, d):
+        cd, lo, hi = self.c / _metric(d), self.lo, self.hi
+
+        def kernel(v):
+            out = np.asarray(v, dtype=float) - cd
+            return np.clip(out, lo, hi, out=out)
+        return kernel
 
     def conjugate_value(self, y, feas_tol=1e-8):
         w = np.asarray(y, dtype=float) - self.c
@@ -266,8 +318,9 @@ class PointIndicator(ProxFunction):
         x = np.asarray(x, dtype=float)
         return 0.0 if np.linalg.norm(x - self.target, np.inf) <= feas_tol else np.inf
 
-    def prox(self, v, d):
-        return self.target.copy()
+    def prox_kernel(self, d):
+        target = self.target
+        return lambda v: target.copy()
 
     def conjugate_value(self, y, feas_tol=1e-8):
         return float(np.asarray(y, dtype=float) @ self.target)
@@ -296,10 +349,17 @@ class Quadratic(ProxFunction):
         r = np.asarray(x, dtype=float) - self.center
         return 0.5 * self.weight * float(r @ r)
 
-    def prox(self, v, d):
-        v = np.asarray(v, dtype=float)
-        d = _as_diag(d, self.dim)
-        return (d * v + self.weight * self.center) / (d + self.weight)
+    def prox_kernel(self, d):
+        d = _metric(d)
+        wc, dw = self.weight * self.center, d + self.weight
+
+        def kernel(v):
+            # (d v + weight center) / (d + weight)
+            out = d * np.asarray(v, dtype=float)
+            out += wc
+            out /= dw
+            return out
+        return kernel
 
     def conjugate_value(self, y, feas_tol=1e-8):
         y = np.asarray(y, dtype=float)
@@ -334,13 +394,19 @@ class Concat(ProxFunction):
         x = np.asarray(x, dtype=float)
         return float(sum(p.value(x[sl]) for p, sl in self._slices()))
 
-    def prox(self, v, d):
-        v = np.asarray(v, dtype=float)
-        d = _as_diag(d, self.dim)
-        out = np.empty(self.dim)
-        for p, sl in self._slices():
-            out[sl] = p.prox(v[sl], d[sl])
-        return out
+    def prox_kernel(self, d):
+        d = _metric(d)
+        routes = [(sl, p.prox_kernel(d[sl] if np.ndim(d) else d))
+                  for p, sl in self._slices()]
+        dim = self.dim
+
+        def kernel(v):
+            v = np.asarray(v, dtype=float)
+            out = np.empty(dim)
+            for sl, part_kernel in routes:
+                out[sl] = part_kernel(v[sl])
+            return out
+        return kernel
 
     def conjugate_value(self, y, feas_tol=1e-8):
         y = np.asarray(y, dtype=float)
@@ -384,11 +450,11 @@ def conj_prox_via_moreau(phi, w, d):
     conjugate prox without a second closed form.
     """
     w = np.asarray(w, dtype=float)
-    d = _as_diag(d, phi.dim)
+    d = _metric(d)
     return d * (w / d - phi.prox(w / d, d))
 
 
 def conj_prox(phi, v, d):
     """prox of phi's conjugate under metric diag(d)."""
-    d = _as_diag(d, phi.dim)
+    d = _metric(d)
     return conj_prox_via_moreau(phi, v, 1.0 / d)

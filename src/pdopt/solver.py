@@ -114,7 +114,6 @@ class IterateState:
     y: np.ndarray = None
     u: np.ndarray = None
     k: int = 0
-    inner_per_iter: list = field(default_factory=list)
 
     @property
     def x_avg(self):
@@ -409,7 +408,8 @@ def _bcd_sweep(sub, plan, z, epochs, at_ref=False):
     A diagonal segment does not depend on z, so it is solved once.  A Gram
     segment gathers z_ref and q over its live rows once and forms
     c = z_ref + q/h; block b then sets dz_b = kernel_b(c_b - G_b dz) - z_ref_b
-    with dz = z - z_ref, and one scatter writes z back.
+    with dz = z - z_ref, and one scatter writes z back.  From z_ref the
+    first block's product is skipped, since dz is still zero there.
     """
     for seg, kernel in zip(plan.segments, plan.bind(sub.g)):
         if seg[0] == "diag":
@@ -420,9 +420,12 @@ def _bcd_sweep(sub, plan, z, epochs, at_ref=False):
             z_ref = sub.z_ref[idx]
             c = z_ref + sub.q[idx] * inv_h
             dz = np.zeros(idx.size) if at_ref else z[idx] - z_ref
+            skip = at_ref       # G_b @ 0 is +0.0 and c - 0.0 == c bit for bit
             for _ in range(epochs):
                 for (sl, gram), block_kernel in zip(blocks, kernel):
-                    dz[sl] = block_kernel(c[sl] - gram @ dz) - z_ref[sl]
+                    v = c[sl] if skip else c[sl] - gram @ dz
+                    skip = False
+                    dz[sl] = block_kernel(v) - z_ref[sl]
             z[idx] = z_ref + dz
 
 
@@ -588,19 +591,28 @@ def admm_dual_step(z, y, v, tau, problem, tol=1e-13, max_iter=500000):
 # ---------------------------------------------------------------------------
 # elementary steps
 
-def pdhg_step(x, z, problem, tau, sigma):
-    """One classic PDHG iteration."""
+def pdhg_step(x, z, problem, tau, sigma, f_prox=None):
+    """One classic PDHG iteration.  ``f_prox`` is ``f.prox_kernel(1/tau)``,
+    which ``validate_config`` binds once per run; it is bound here if not
+    given."""
     f, g, A = problem.f, problem.g, problem.A
-    x_new = f.prox(x - tau * A.rmatvec(z), 1.0 / tau)
+    if f_prox is None:
+        f_prox = f.prox_kernel(1.0 / tau)
+    x_new = f_prox(x - tau * A.rmatvec(z))
     q = A.matvec(2.0 * x_new - x)
     z_new = _prox.conj_prox(g, z + sigma * q, np.full(g.dim, 1.0 / sigma))
     return x_new, z_new
 
 
-def prepdhg_x_step(x, z, problem, m1):
-    """Exact x-subproblem: a diagonal-metric prox of f."""
-    d = m1.diagonal()
-    return problem.f.prox(x - problem.A.rmatvec(z) / d, d)
+def prepdhg_x_step(x, z, problem, m1, f_prox=None):
+    """Exact x-subproblem: a diagonal-metric prox of f.  ``f_prox`` is
+    ``f.prox_kernel(m1.diagonal())``, which ``validate_config`` binds once
+    per run; it is bound here if not given.  ``m1.apply_inverse`` divides by
+    the diagonal (a scalar for a scaled identity), the same quotients as
+    dividing by ``m1.diagonal()``."""
+    if f_prox is None:
+        f_prox = problem.f.prox_kernel(m1.diagonal())
+    return f_prox(x - m1.apply_inverse(problem.A.rmatvec(z)))
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +652,23 @@ def _fix_heap_thresholds():
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
+def _bind_x_prox(f, d):
+    """``f.prox_kernel(d)``, with a metric that does not suit ``f`` (one that
+    varies within a ``GroupL12`` group) reported as a ConfigError."""
+    try:
+        return f.prox_kernel(d)
+    except _prox.UnsupportedMetricError as exc:
+        raise ConfigError(f"the x-step metric does not suit f: {exc}") from None
+
+
 def validate_config(problem, config):
+    """Check ``config`` against ``problem`` and resolve what a run needs, once.
+
+    Returns a dict: ``f_prox``, the x-step prox of ``f`` bound at ``1/tau``
+    (pdhg) or at ``m1``'s diagonal; ``sigma`` for pdhg; otherwise ``m1``,
+    ``m2``, ``inner`` and either a bound ``plan`` (bcd) or ``gamma``.
+    Raises ConfigError for a configuration that cannot run.
+    """
     m, n = problem.dims
     cfg = config
     if cfg.algorithm not in ("pdhg", "prepdhg_exact", "iprepdhg"):
@@ -670,7 +698,7 @@ def validate_config(problem, config):
             sigma = 1.0 / (cfg.tau * norm_sq) if norm_sq > 0 else 1.0
         elif norm_sq > 0 and 1.0 / (cfg.tau * sigma) < norm_sq / 1.01 * (1 - 1e-9):
             raise ConfigError("pdhg stepsizes violate 1/(tau*sigma) >= ||A||^2")
-        return {"sigma": sigma}
+        return {"sigma": sigma, "f_prox": _bind_x_prox(problem.f, 1.0 / cfg.tau)}
     m1 = cfg.m1 if cfg.m1 is not None else scaled_identity(cfg.tau, n)
     m2 = cfg.m2 if cfg.m2 is not None else gram_precond(problem.A, cfg.tau)
     if not isinstance(m1, (ScaledIdentity, Diagonal)):
@@ -678,7 +706,8 @@ def validate_config(problem, config):
     inner = cfg.inner
     if cfg.algorithm == "iprepdhg" and inner is None:
         inner = "bcd"
-    out = {"m1": m1, "m2": m2, "inner": inner}
+    out = {"m1": m1, "m2": m2, "inner": inner,
+           "f_prox": _bind_x_prox(problem.f, m1.diagonal())}
     if inner == "bcd":
         plan = BcdPlan(problem.A, m2, cfg.ordering)
         try:
@@ -696,11 +725,17 @@ def validate_config(problem, config):
     return out
 
 
-def run(problem, config):
-    """Run the configured outer algorithm; returns a RunResult."""
+def run(problem, config, resolved=None):
+    """Run the configured outer algorithm; returns a RunResult.
+
+    ``resolved`` is what ``validate_config(problem, config)`` returned, for a
+    caller that has already validated; without it the config is validated
+    here.
+    """
     _fix_heap_thresholds()
     cfg = config
-    resolved = validate_config(problem, cfg)
+    if resolved is None:
+        resolved = validate_config(problem, cfg)
     m, n = problem.dims
     x = np.zeros(n) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float).copy()
     z = np.zeros(m) if cfg.z0 is None else np.asarray(cfg.z0, dtype=float).copy()
@@ -708,6 +743,7 @@ def run(problem, config):
     trace = Trace()
     m1 = resolved.get("m1")
     m2 = resolved.get("m2")
+    f_prox = resolved["f_prox"]
     status = "not-converged"
     final_delta = None
     elapsed = 0.0
@@ -719,11 +755,10 @@ def run(problem, config):
         z_prev = state.z
         if cfg.algorithm == "pdhg":
             x_new, z_new = pdhg_step(x_prev, z_prev, problem, cfg.tau,
-                                     resolved["sigma"])
-            inner_count = 0
+                                     resolved["sigma"], f_prox)
             sub = None
         else:
-            x_new = prepdhg_x_step(x_prev, z_prev, problem, m1)
+            x_new = prepdhg_x_step(x_prev, z_prev, problem, m1, f_prox)
             q = problem.A.matvec(2.0 * x_new - x_prev)
             sub = ZSubproblem(z_prev, q, m2, problem.g)
             if cfg.algorithm == "prepdhg_exact" and isinstance(
@@ -731,27 +766,23 @@ def run(problem, config):
                 # diagonal metric: the z-subproblem has a closed form
                 d2 = m2.diagonal()
                 z_new = _prox.conj_prox(problem.g, z_prev + q / d2, d2)
-                inner_count = 0
             elif cfg.algorithm == "prepdhg_exact":
                 z_new = solve_subproblem_exact(
                     sub, tol=cfg.exact_tol,
                     gamma=resolved.get("gamma"),
                     plan=resolved.get("plan"))
-                inner_count = 0
             elif resolved["inner"] == "bcd":
-                z_new, inner_count = inner_bcd(sub, resolved["plan"], cfg.p)
+                z_new, _ = inner_bcd(sub, resolved["plan"], cfg.p)
             elif resolved["inner"] == "proxgrad":
-                z_new, inner_count = inner_proxgrad(sub, resolved["gamma"], cfg.p)
+                z_new, _ = inner_proxgrad(sub, resolved["gamma"], cfg.p)
             else:
-                z_new, inner_count = inner_fista_restart(sub, resolved["gamma"],
-                                                         cfg.p)
+                z_new, _ = inner_fista_restart(sub, resolved["gamma"], cfg.p)
         state.x = x_new
         state.z = z_new
         state.sum_x += x_new
         state.sum_z += z_new
         state.navg += 1
         state.k = k
-        state.inner_per_iter.append(inner_count)
 
         err_ratio = None
         if cfg.monitor_err_ratio and sub is not None:

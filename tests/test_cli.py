@@ -201,6 +201,26 @@ def test_compare_validates_each_row_once(noisy_pgm, tmp_path, monkeypatch,
     assert sorted(calls) == ["iprepdhg"] * 2 + ["pdhg"] * 2
 
 
+def test_solve_validates_once(noisy_pgm, tmp_path, monkeypatch, capsys):
+    from pdopt import solver
+    calls = []
+    validate = solver.validate_config
+
+    def counting(problem, config):
+        calls.append(config.algorithm)
+        return validate(problem, config)
+
+    monkeypatch.setattr(solver, "validate_config", counting)
+    for algorithm in ("iprepdhg", "pdhg"):
+        calls.clear()
+        code = main(["solve", "--output", str(tmp_path), "problem=tvl1",
+                     f"input={noisy_pgm}", f"algorithm={algorithm}",
+                     "max_outer=5", "prefix=once"])
+        assert code in (0, 2)
+        capsys.readouterr()
+        assert calls == [algorithm]
+
+
 def test_compare_jobs_flag_then_config_file_then_one(noisy_pgm, tmp_path,
                                                     monkeypatch, capsys):
     from pdopt import cli

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from pdopt.operators import (DimensionMismatchError, Div2D, Grad2D,
                              InvalidWeightsError, OrderingError, SparseOp,
@@ -232,3 +233,83 @@ def test_ordering_for_dispatch():
     assert sorted(b.size for b in four.blocks) == [3, 3, 6, 6]
     with pytest.raises(OrderingError):
         ordering_for(SparseOp(sp.eye(4)))
+
+
+def _grad_by_slices(u, h):
+    """The gradient by zeros, slices and a division: the reference the
+    one-pass stencils must match bit for bit."""
+    ch1 = np.zeros_like(u)
+    ch2 = np.zeros_like(u)
+    ch1[:-1, :] = (u[1:, :] - u[:-1, :]) / h
+    ch2[:, :-1] = (u[:, 1:] - u[:, :-1]) / h
+    return ch1, ch2
+
+
+def _div_by_slices(ch1, ch2, h):
+    out = np.zeros_like(ch1)
+    out[:-1, :] += ch1[:-1, :]
+    out[1:, :] -= ch1[:-1, :]
+    out[:, :-1] += ch2[:, :-1]
+    out[:, 1:] -= ch2[:, :-1]
+    return out / h
+
+
+def _products_by_slices(op, x, z):
+    """(matvec, rmatvec) of a grid operator by the zeros/slices/concatenate/
+    negate formulas."""
+    m, n, h = op.rows, op.cols, op.h
+    mn = m * n
+    if isinstance(op, Div2D):
+        fwd = _div_by_slices(x[:mn].reshape(m, n), x[mn:].reshape(m, n), h).ravel()
+        return fwd, -np.concatenate([c.ravel() for c in _grad_by_slices(z.reshape(m, n), h)])
+    grad = np.concatenate([c.ravel() for c in _grad_by_slices(x.reshape(m, n), h)])
+    if isinstance(op, WeightedGrad2D):
+        zw = op.w * z
+        return op.w * grad, -_div_by_slices(zw[:mn].reshape(m, n), zw[mn:].reshape(m, n), h).ravel()
+    return grad, -_div_by_slices(z[:mn].reshape(m, n), z[mn:].reshape(m, n), h).ravel()
+
+
+def _grid_values(rng, size):
+    # normals with repeated values and signed zeros, so differences cancel
+    # exactly and the sign of every zero is checked
+    v = rng.standard_normal(size)
+    v[rng.random(size) < 0.3] = 0.75
+    v[rng.random(size) < 0.15] = 0.0
+    v[rng.random(size) < 0.15] = -0.0
+    return v
+
+
+@pytest.mark.parametrize("h", [1.0, 0.37])
+@pytest.mark.parametrize("rows,cols", [(1, 6), (5, 1), (1, 1), (2, 2), (4, 7)])
+@pytest.mark.parametrize("kind", ["grad", "weighted", "div"])
+def test_grid_stencils_match_slice_formulas_bit_for_bit(kind, rows, cols, h):
+    rng = np.random.default_rng(rows * 100 + cols)
+    if kind == "grad":
+        op = Grad2D(rows, cols, h)
+    elif kind == "weighted":
+        op = WeightedGrad2D(rows, cols, rng.uniform(0.5, 2.0, 2 * rows * cols), h)
+    else:
+        op = Div2D(rows, cols, h)
+    dense = op.to_sparse()
+    for _ in range(5):
+        x = _grid_values(rng, op.shape[1])
+        z = _grid_values(rng, op.shape[0])
+        want_fwd, want_adj = _products_by_slices(op, x, z)
+        got_fwd, got_adj = op.matvec(x), op.rmatvec(z)
+        assert got_fwd.tobytes() == want_fwd.tobytes()
+        assert got_adj.tobytes() == want_adj.tobytes()
+        for got, want in ((got_fwd, dense @ x), (got_adj, dense.T @ z)):
+            scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-15 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 9), cols=st.integers(1, 9),
+       h=st.sampled_from([1.0, 0.5, 0.37, 3.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_grad2d_div2d_match_slice_formulas_bit_for_bit(rows, cols, h, seed):
+    rng = np.random.default_rng(seed)
+    u = _grid_values(rng, rows * cols).reshape(rows, cols)
+    for got, want in zip(grad2d(u, h), _grad_by_slices(u, h)):
+        assert got.tobytes() == want.tobytes()
+    p1, p2 = (_grid_values(rng, rows * cols).reshape(rows, cols) for _ in range(2))
+    assert div2d(p1, p2, h).tobytes() == _div_by_slices(p1, p2, h).tobytes()

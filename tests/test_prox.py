@@ -99,6 +99,8 @@ def test_group_l12_rejects_metric_varying_within_a_group(layout):
     d[groups[1][-1]] = 2.0
     with pytest.raises(UnsupportedMetricError):
         phi.prox(np.ones(groups.size), d)
+    with pytest.raises(UnsupportedMetricError):
+        phi.prox_kernel(d)              # at binding, before any v
 
 
 def test_point_indicator_prox_is_target():
@@ -351,3 +353,120 @@ def test_l1_prox_tie_breaking_at_kink():
     # |v| exactly at the threshold maps to the boundary value 0
     phi = L1(1, lam=1.0)
     assert phi.prox(np.array([1.0]), 1.0)[0] == 0.0
+
+
+def _prox_closed_form(phi, v, d):
+    """Each kind's prox with a scalar metric expanded to an array and the
+    constants formed on every call: the reference a bound kernel must match
+    bit for bit."""
+    v = np.asarray(v, dtype=float)
+    if np.ndim(d) == 0:
+        d = np.full(phi.dim, float(d))
+    if isinstance(phi, Zero):
+        return v.copy()
+    if isinstance(phi, L1):
+        w = v - phi.shift
+        return phi.shift + np.sign(w) * np.maximum(np.abs(w) - phi.lam / d, 0.0)
+    if isinstance(phi, BoxIndicator):
+        return np.clip(v, phi.lo, phi.hi)
+    if isinstance(phi, LinearPlusBox):
+        return np.clip(v - phi.c / d, phi.lo, phi.hi)
+    if isinstance(phi, PointIndicator):
+        return phi.target.copy()
+    if isinstance(phi, Quadratic):
+        return (d * v + phi.weight * phi.center) / (d + phi.weight)
+    if isinstance(phi, GroupL12):
+        dg = d[phi.members]
+        vg = v[phi.members]
+        norms = np.linalg.norm(vg, axis=0)
+        scale = np.zeros_like(norms)
+        nz = norms > 0
+        scale[nz] = np.maximum(0.0, 1.0 - phi.lam / (dg[0, nz] * norms[nz]))
+        out = np.empty_like(v)
+        out[phi.members] = vg * scale
+        return out
+    out = np.empty(phi.dim)
+    for part, sl in phi._slices():
+        out[sl] = _prox_closed_form(part, v[sl], d[sl])
+    return out
+
+
+def _prox_case(kind, rng):
+    """(phi, groups or None) for one kind; groups fix where the metric may vary."""
+    n = 6 * int(rng.integers(1, 4))
+    if kind == "zero":
+        return Zero(n), None
+    if kind == "l1":
+        return L1(n, lam=0.8), None
+    if kind == "l1-shift":
+        return L1(n, lam=0.7, shift=rng.standard_normal(n)), None
+    if kind == "box":
+        return BoxIndicator(n, -0.5, 1.2), None
+    if kind == "linear-box":
+        return LinearPlusBox(n, rng.standard_normal(n), -1.0, 1.0), None
+    if kind == "point":
+        return PointIndicator(rng.standard_normal(n)), None
+    if kind == "quadratic":
+        return Quadratic(n, weight=1.3, center=rng.standard_normal(n)), None
+    if kind == "group-pairs":        # EMD's (i, n/2 + i): the contiguous layout
+        half = n // 2
+        groups = np.column_stack([np.arange(half), half + np.arange(half)])
+        return GroupL12(n, groups, lam=0.9), groups
+    if kind == "group-strided":      # size-3 groups (i, i + k, i + 2k), gathered
+        groups = np.arange(n).reshape(3, -1).T
+        return GroupL12(n, groups, lam=0.6), groups
+    k = int(rng.integers(2, n - 1))
+    return Concat([Quadratic(k, weight=0.5, center=rng.standard_normal(k)),
+                   L1(n - k, lam=1.1, shift=rng.standard_normal(n - k))]), None
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["zero", "l1", "l1-shift", "box", "linear-box",
+                             "point", "quadratic", "group-pairs",
+                             "group-strided", "concat"]),
+       metric=st.sampled_from(["scalar", "constant", "varying"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_prox_kernel_is_the_closed_form_bit_for_bit(kind, metric, seed):
+    rng = np.random.default_rng(seed)
+    phi, groups = _prox_case(kind, rng)
+    n = phi.dim
+    if metric == "scalar":
+        d = float(rng.uniform(0.2, 5.0))
+    elif metric == "constant":
+        d = np.full(n, rng.uniform(0.2, 5.0))
+    elif groups is None:
+        d = rng.uniform(0.2, 5.0, n)
+    else:                            # varying across groups only
+        d = np.empty(n)
+        for grp in groups:
+            d[grp] = rng.uniform(0.2, 5.0)
+    v = 2.0 * rng.standard_normal(n)
+    v[rng.permutation(n)[:n // 4]] = rng.choice([0.0, -0.0, 1.0, -1.0])
+    if groups is not None:
+        v[groups[0]] = 0.0           # a zero-norm group
+        v[groups[-1]] *= 1e-3        # a group inside the dead zone
+    want = _prox_closed_form(phi, v, d)
+    kernel = phi.prox_kernel(d)
+    got = kernel(v)
+    assert got is not v
+    assert got.tobytes() == want.tobytes()
+    assert phi.prox(v, d).tobytes() == want.tobytes()
+    assert kernel(v).tobytes() == want.tobytes()      # binding is reusable
+    if groups is not None:
+        np.testing.assert_array_equal(got[groups[0]], 0.0)
+
+
+def test_group_l12_layout_detection():
+    half = 5
+    pairs = np.column_stack([np.arange(half), half + np.arange(half)])
+    assert GroupL12(2 * half, pairs).contiguous
+    assert not GroupL12(12, np.arange(12).reshape(-1, 3)).contiguous
+    assert not GroupL12(2 * half, pairs[::-1]).contiguous
+
+
+def test_group_l12_rejects_nonpositive_lam_and_metric():
+    pairs = _group_layouts()[0]
+    with pytest.raises(ValueError, match="lam must be positive"):
+        GroupL12(pairs.size, pairs, lam=0.0)
+    with pytest.raises(ValueError, match="strictly positive"):
+        GroupL12(pairs.size, pairs).prox_kernel(0.0)

@@ -639,13 +639,55 @@ def test_config_rejects_mismatched_shapes(field, value):
             run(prob, cfg)
 
 
-def test_run_fixed_inner_effort():
+def test_run_fixed_inner_effort(monkeypatch):
     prob = _toy_problem(np.random.default_rng(20))
+    counts = []
+    sweep = pdopt.solver._bcd_sweep
+
+    def counting(sub, plan, z, epochs, at_ref=False):
+        counts.append(epochs)
+        return sweep(sub, plan, z, epochs, at_ref)
+
+    monkeypatch.setattr(pdopt.solver, "_bcd_sweep", counting)
     for p in (1, 2, 3):
+        counts.clear()
         cfg = SolverConfig(algorithm="iprepdhg", inner="bcd", p=p, tau=0.01,
                            max_outer=7)
         res = run(prob, cfg)
-        assert res.state.inner_per_iter == [p] * 7
+        assert res.outer_iters == 7
+        assert counts == [p] * 7
+
+
+@pytest.mark.parametrize("algorithm", ["pdhg", "iprepdhg", "prepdhg_exact"])
+def test_run_binds_the_x_step_prox_once(monkeypatch, algorithm):
+    prob = _toy_problem(np.random.default_rng(22))
+    binds = []
+    bind = prob.f.prox_kernel
+
+    def counting(d):
+        binds.append(d)
+        return bind(d)
+
+    monkeypatch.setattr(prob.f, "prox_kernel", counting)
+    cfg = SolverConfig(algorithm=algorithm, tau=0.01, max_outer=20,
+                       tol_residual=None)
+    res = run(prob, cfg)
+    assert res.outer_iters == 20
+    # one bind in validate_config; f.prox, which binds on every call, is
+    # never called
+    assert len(binds) == 1
+
+
+def test_config_rejects_x_metric_varying_within_a_group():
+    from pdopt.prox import GroupL12
+    A = Div2D(3, 3)
+    n = A.shape[1] // 2
+    f = GroupL12(2 * n, np.column_stack([np.arange(n), n + np.arange(n)]))
+    prob = SaddleProblem(f=f, g=PointIndicator(np.zeros(A.shape[0])), A=A)
+    m1 = Diagonal(np.linspace(1.0, 2.0, 2 * n))
+    cfg = SolverConfig(algorithm="iprepdhg", tau=0.01, m1=m1, max_outer=2)
+    with pytest.raises(ConfigError, match="within each group"):
+        validate_config(prob, cfg)
 
 
 def test_run_not_converged_status():
