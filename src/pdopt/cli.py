@@ -105,7 +105,16 @@ def _require(cfg, key):
 
 
 def build_problem(cfg):
+    """The ProblemInstance ``cfg`` describes; a builder's rejection of its
+    parameters or data (a ValueError) is a CliError."""
     name = _require(cfg, "problem")
+    try:
+        return _build_problem(name, cfg)
+    except ValueError as exc:
+        raise CliError(f"problem {name}: {exc}") from None
+
+
+def _build_problem(name, cfg):
     if name == "tvl1":
         grid = _load_grid(_require(cfg, "input"))
         if "noise" in cfg:
@@ -130,10 +139,7 @@ def build_problem(cfg):
     if name == "emd":
         rho0 = _load_grid(_require(cfg, "input"))
         rho1 = _load_grid(_require(cfg, "input2"))
-        try:
-            return problems.emd(rho0, rho1, cfg.get("h"))
-        except (ValueError, problems.MassMismatchError) as exc:
-            raise CliError(str(exc))
+        return problems.emd(rho0, rho1, cfg.get("h"))
     if name == "ct":
         phantom = _load_grid(_require(cfg, "input"))
         rows, cols = phantom.shape

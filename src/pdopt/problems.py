@@ -16,6 +16,14 @@ class MassMismatchError(ValueError):
     """EMD marginals with different total mass: the constraint set is empty."""
 
 
+def _require_finite(**arrays):
+    """Reject data with a NaN or an infinite entry, which no comparison in a
+    builder's checks would catch and no solver would recover from."""
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass
 class ProblemInstance:
     problem: _solver.SaddleProblem
@@ -45,9 +53,10 @@ def tvl1(b, lam):
 
     minimize over u:  lam * ||u - b||_1 + ||grad u||_1
     """
-    if lam <= 0:
+    if not lam > 0:         # NaN fails this too
         raise ValueError("lam must be positive")
     b = np.asarray(b, dtype=float)
+    _require_finite(b=b)
     rows, cols = b.shape
     n = rows * cols
     A = Grad2D(rows, cols, h=1.0)
@@ -84,10 +93,12 @@ def graphcut(img, alpha=0.5, beta=10.0, mu_f=(0.0, 0.0, 1.0),
     img = np.asarray(img, dtype=float)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError("graphcut expects an RGB image of shape (M, N, 3)")
-    if alpha <= 0 or beta <= 0:
+    _require_finite(img=img)
+    if not (alpha > 0 and beta > 0):
         raise ValueError("alpha and beta must be positive")
     mu_f = np.asarray(mu_f, dtype=float)
     mu_b = np.asarray(mu_b, dtype=float)
+    _require_finite(mu_f=mu_f, mu_b=mu_b)
     rows, cols, _ = img.shape
     n = rows * cols
     w_u = alpha * (np.sum((img - mu_f) ** 2, axis=2)
@@ -116,6 +127,7 @@ def emd(rho0, rho1, h=None):
     rho1 = np.asarray(rho1, dtype=float)
     if rho0.shape != rho1.shape:
         raise ValueError("marginals must share a shape")
+    _require_finite(rho0=rho0, rho1=rho1)
     if np.any(rho0 < 0) or np.any(rho1 < 0):
         raise ValueError("marginals must be nonnegative")
     s0, s1 = rho0.sum(), rho1.sum()
@@ -156,7 +168,7 @@ def ct(R, b, lam, rows, cols, precond_variant="norm", tau=0.01):
 
     minimize over u:  1/2 ||R u - b||^2 + lam ||grad u||_1
     """
-    if lam <= 0:
+    if not lam > 0:         # NaN fails this too
         raise ValueError("lam must be positive")
     R_op = R if hasattr(R, "matvec") else SparseOp(R)
     if R_op.shape[1] != rows * cols:
@@ -164,6 +176,7 @@ def ct(R, b, lam, rows, cols, precond_variant="norm", tau=0.01):
     b = np.asarray(b, dtype=float).ravel()
     if b.size != R_op.shape[0]:
         raise ValueError("b length must equal the row count of R")
+    _require_finite(b=b)
     n = rows * cols
     grad = Grad2D(rows, cols, h=1.0)
     A = StackedOp([R_op, grad])

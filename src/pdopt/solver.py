@@ -48,7 +48,7 @@ class SaddleProblem:
     f: _prox.ProxFunction
     g: _prox.ProxFunction
     A: object
-    mu_f: float = 0.0
+    mu_f: float = 0.0            # strong-convexity modulus of f; no solver reads it
     objective: object = None     # optional callable x -> float
     feasibility: object = None   # optional callable x -> float
 
@@ -203,9 +203,9 @@ def inner_proxgrad(sub, gamma, p):
     if p < 1:
         raise ConfigError("p must be >= 1")
     z = sub.z_ref
-    d = np.full(sub.g.dim, 1.0 / gamma)
+    conj_prox = _conj_prox_at(sub.g, gamma)
     for _ in range(p):
-        z = _prox.conj_prox(sub.g, z - gamma * sub.grad_quad(z), d)
+        z = conj_prox(z - gamma * sub.grad_quad(z))
     return z, p
 
 
@@ -213,14 +213,30 @@ def inner_fista_restart(sub, gamma, p):
     """p FISTA steps with function-value adaptive restart; p counts gradient evals."""
     if p < 1:
         raise ConfigError("p must be >= 1")
-    d = np.full(sub.g.dim, 1.0 / gamma)
-    z = sub.z_ref
+    return _fista_restart(sub.z_ref, sub.grad_quad, sub.objective,
+                          _conj_prox_at(sub.g, gamma), gamma, p), p
+
+
+def _conj_prox_at(g, gamma):
+    """v -> the prox of g's conjugate at step gamma (metric 1/gamma)."""
+    d = np.full(g.dim, 1.0 / gamma)
+    return lambda v: _prox.conj_prox(g, v, d)
+
+
+def _small_step(z_new, z, tol):
+    return np.linalg.norm(z_new - z) <= tol * (1.0 + np.linalg.norm(z_new))
+
+
+def _fista_restart(z, grad, obj, conj_prox, gamma, iters, tol=None):
+    """``iters`` FISTA steps from z with function-value adaptive restart
+    (O'Donoghue & Candes 2015); with a ``tol``, stop at the first step of
+    norm <= tol (1 + ||z_new||).  ``conj_prox`` is bound at step ``gamma``."""
     y = z
     t = 1.0
-    f_prev = sub.objective(z)
-    for _ in range(p):
-        z_new = _prox.conj_prox(sub.g, y - gamma * sub.grad_quad(y), d)
-        f_new = sub.objective(z_new)
+    f_prev = obj(z)
+    for _ in range(iters):
+        z_new = conj_prox(y - gamma * grad(y))
+        f_new = obj(z_new)
         if f_new > f_prev:
             # momentum restart: drop back to a plain proximal-gradient state
             t = 1.0
@@ -229,9 +245,11 @@ def inner_fista_restart(sub, gamma, p):
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             y = z_new + ((t - 1.0) / t_new) * (z_new - z)
             t = t_new
-        z = z_new
         f_prev = f_new
-    return z, p
+        if tol is not None and _small_step(z_new, z, tol):
+            return z_new
+        z = z_new
+    return z
 
 
 class BcdPlan:
@@ -365,40 +383,21 @@ def inner_bcd(sub, plan, p):
 
 
 def solve_subproblem_exact(sub, tol=1e-12, max_iter=200000, gamma=None, plan=None):
-    """Iterate an inner solver until the step norm falls below tol (an
-    "exact" solve for equivalence oracles and the reference engine)."""
+    """Iterate an inner solver (BCD epochs under a ``plan``, else FISTA with
+    restart) until the step norm falls below tol: an "exact" solve for
+    equivalence oracles and the reference engine."""
     if plan is None:
         if gamma is None:
             gamma = 1.0 / max(m2_norm_estimate(sub.m2), 1e-30)
-        d = np.full(sub.g.dim, 1.0 / gamma)
+        return _fista_restart(sub.z_ref, sub.grad_quad, sub.objective,
+                              _conj_prox_at(sub.g, gamma), gamma, max_iter, tol)
     z = sub.z_ref
-    y = z
-    t = 1.0
-    f_prev = sub.objective(z)
     for _ in range(max_iter):
-        if plan is not None:
-            z_new = _bcd_from(sub, plan, z)
-        else:
-            z_new = _prox.conj_prox(sub.g, y - gamma * sub.grad_quad(y), d)
-            f_new = sub.objective(z_new)
-            if f_new > f_prev:
-                t = 1.0
-                y = z_new
-            else:
-                t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-                y = z_new + ((t - 1.0) / t_new) * (z_new - z)
-                t = t_new
-            f_prev = f_new
-        if np.linalg.norm(z_new - z) <= tol * (1.0 + np.linalg.norm(z_new)):
+        z_new = z.copy()
+        _bcd_sweep(sub, plan, z_new, 1)
+        if _small_step(z_new, z, tol):
             return z_new
         z = z_new
-    return z
-
-
-def _bcd_from(sub, plan, z_start):
-    """One BCD epoch starting from an arbitrary point (not z_ref)."""
-    z = z_start.copy()
-    _bcd_sweep(sub, plan, z, 1)
     return z
 
 
@@ -502,8 +501,7 @@ def c_bcd(gamma, lam_min, lam_max, l, p):
 def relative_error_residual(z_prev, z_new, sub):
     """(||eps||, ||eps|| / ||z_new - z_prev||) for the subproblem optimality
     inclusion, with eps the minimal-norm admissible error term."""
-    s = sub.m2.apply(z_new - sub.z_ref) - sub.q
-    eps = sub.g.conj_residual(z_new, s)
+    eps = sub.g.conj_residual(z_new, sub.grad_quad(z_new))
     eps_norm = float(np.linalg.norm(eps))
     dz = float(np.linalg.norm(z_new - z_prev))
     if dz == 0.0:
@@ -548,40 +546,16 @@ def dual_transform(x_curr, x_prev, z_prev, m1, A):
 def admm_dual_step(z, y, v, tau, problem, tol=1e-13, max_iter=500000):
     """One ADMM step on the dual problem; the z-minimization is solved to
     high accuracy, so this serves as an equivalence oracle."""
-    A = problem.A
-    lam = op_norm_sq_estimate(A)
-    gamma = 1.0 / max(tau * lam, 1e-30)
-    d = np.full(problem.g.dim, 1.0 / gamma)
-    zc = np.asarray(z, dtype=float)
-    cur = zc
-    yy = cur
-    t = 1.0
-
-    def grad(w):
-        return A.matvec(tau * (A.rmatvec(w) + y) - v)
+    A, g = problem.A, problem.g
+    gamma = 1.0 / max(tau * op_norm_sq_estimate(A), 1e-30)
 
     def obj(w):
         r = A.rmatvec(w) + y
-        return (problem.g.conjugate_value(w) + float(-r @ v)
-                + 0.5 * tau * float(r @ r))
+        return g.conjugate_value(w) + float(-r @ v) + 0.5 * tau * float(r @ r)
 
-    f_prev = obj(cur)
-    for _ in range(max_iter):
-        z_new = _prox.conj_prox(problem.g, yy - gamma * grad(yy), d)
-        f_new = obj(z_new)
-        if f_new > f_prev:
-            t = 1.0
-            yy = z_new
-        else:
-            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            yy = z_new + ((t - 1.0) / t_new) * (z_new - cur)
-            t = t_new
-        f_prev = f_new
-        if np.linalg.norm(z_new - cur) <= tol * (1.0 + np.linalg.norm(z_new)):
-            cur = z_new
-            break
-        cur = z_new
-    z_new = cur
+    z_new = _fista_restart(np.asarray(z, dtype=float),
+                           lambda w: A.matvec(tau * (A.rmatvec(w) + y) - v),
+                           obj, _conj_prox_at(g, gamma), gamma, max_iter, tol)
     w = v / tau - A.rmatvec(z_new)
     y_new = _prox.conj_prox_via_moreau(problem.f, w, np.full(problem.f.dim, 1.0 / tau))
     v_new = v - tau * (A.rmatvec(z_new) + y_new)

@@ -103,6 +103,23 @@ def test_solve_unreadable_input_is_io_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["lam=-1", "noise=2", "input={tmp}/inf.csv"])
+def test_solve_bad_problem_data_is_validation_error(noisy_pgm, tmp_path, bad,
+                                                    capsys):
+    # a builder's ValueError is one error line and exit 3, before any
+    # iteration runs; the last input= token overrides the first
+    grid = gridio.load_pgm(noisy_pgm)
+    grid[2, 3] = np.inf
+    gridio.save_grid_csv(str(tmp_path / "inf.csv"), grid)
+    code = main(["solve", "--output", str(tmp_path), "problem=tvl1",
+                 f"input={noisy_pgm}", "max_outer=100000",
+                 bad.format(tmp=tmp_path)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: problem tvl1: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_solve_iteration_cap_exit_code(noisy_pgm, tmp_path, capsys):
     code = main(["solve", "--output", str(tmp_path), "problem=tvl1",
                  f"input={noisy_pgm}", "max_outer=1", "tol_residual=1e-14"])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pdopt.precond import validate_schur
 from pdopt.problems import (MassMismatchError, add_impulse_noise, ct, emd,
@@ -121,6 +122,42 @@ def test_emd_rejects_mass_mismatch_and_negatives():
         emd(np.array([[1.0, 0.0]]), np.array([[0.0, 2.0]]))
     with pytest.raises(ValueError):
         emd(np.array([[1.0, -0.5]]), np.array([[0.5, 0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# data validation shared by the builders
+
+_BUILDERS = {
+    "tvl1": lambda data: tvl1(data, lam=1.0),
+    "graphcut": lambda data: graphcut(np.repeat(data[:, :, None], 3, axis=2)),
+    "emd": lambda data: emd(data, np.ones_like(data)),
+    "ct": lambda data: ct(sp.eye(16), data.ravel(), lam=0.1, rows=4, cols=4),
+}
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("builder", sorted(_BUILDERS))
+def test_builders_reject_non_finite_data(builder, bad):
+    # a NaN passes every comparison-based check (nonnegativity, mass) and an
+    # inf would otherwise run out the whole iteration budget
+    data = np.ones((4, 4))
+    _BUILDERS[builder](data)            # the finite data is accepted
+    data[1, 2] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        _BUILDERS[builder](data)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tvl1(np.ones((3, 3)), lam=math.nan),
+    lambda: graphcut(np.ones((3, 3, 3)), alpha=math.nan),
+    lambda: graphcut(np.ones((3, 3, 3)), mu_f=(0.0, math.nan, 1.0)),
+    lambda: ct(sp.eye(16), np.ones(16), lam=math.nan, rows=4, cols=4),
+], ids=["tvl1-lam", "graphcut-alpha", "graphcut-mu_f", "ct-lam"])
+def test_builders_reject_nan_parameters(build):
+    # NaN is not <= 0 either, so a positivity check must be written as
+    # "not > 0" to catch it
+    with pytest.raises(ValueError):
+        build()
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,140 @@ def test_solve_subproblem_exact_with_bcd_plan_matches_dense():
     assert np.linalg.norm(z - z_star) <= 1e-10
 
 
+# The loops these functions ran before they shared one FISTA-with-restart
+# loop, written out as they were: the oracle for bit-for-bit equality.
+
+def _old_fista_restart(sub, gamma, p):
+    d = np.full(sub.g.dim, 1.0 / gamma)
+    z = sub.z_ref
+    y = z
+    t = 1.0
+    f_prev = sub.objective(z)
+    for _ in range(p):
+        z_new = conj_prox(sub.g, y - gamma * sub.grad_quad(y), d)
+        f_new = sub.objective(z_new)
+        if f_new > f_prev:
+            t = 1.0
+            y = z_new
+        else:
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y = z_new + ((t - 1.0) / t_new) * (z_new - z)
+            t = t_new
+        z = z_new
+        f_prev = f_new
+    return z
+
+
+def _old_solve_exact(sub, tol, max_iter, gamma=None, plan=None):
+    if plan is None:
+        if gamma is None:
+            gamma = 1.0 / max(pdopt.solver.m2_norm_estimate(sub.m2), 1e-30)
+        d = np.full(sub.g.dim, 1.0 / gamma)
+    z = sub.z_ref
+    y = z
+    t = 1.0
+    f_prev = sub.objective(z)
+    for _ in range(max_iter):
+        if plan is not None:
+            z_new = z.copy()
+            pdopt.solver._bcd_sweep(sub, plan, z_new, 1)
+        else:
+            z_new = conj_prox(sub.g, y - gamma * sub.grad_quad(y), d)
+            f_new = sub.objective(z_new)
+            if f_new > f_prev:
+                t = 1.0
+                y = z_new
+            else:
+                t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+                y = z_new + ((t - 1.0) / t_new) * (z_new - z)
+                t = t_new
+            f_prev = f_new
+        if np.linalg.norm(z_new - z) <= tol * (1.0 + np.linalg.norm(z_new)):
+            return z_new
+        z = z_new
+    return z
+
+
+def _old_admm_dual_step(z, y, v, tau, problem, tol, max_iter):
+    A = problem.A
+    lam = pdopt.operators.op_norm_sq_estimate(A)
+    gamma = 1.0 / max(tau * lam, 1e-30)
+    d = np.full(problem.g.dim, 1.0 / gamma)
+    cur = np.asarray(z, dtype=float)
+    yy = cur
+    t = 1.0
+
+    def grad(w):
+        return A.matvec(tau * (A.rmatvec(w) + y) - v)
+
+    def obj(w):
+        r = A.rmatvec(w) + y
+        return (problem.g.conjugate_value(w) + float(-r @ v)
+                + 0.5 * tau * float(r @ r))
+
+    f_prev = obj(cur)
+    for _ in range(max_iter):
+        z_new = conj_prox(problem.g, yy - gamma * grad(yy), d)
+        f_new = obj(z_new)
+        if f_new > f_prev:
+            t = 1.0
+            yy = z_new
+        else:
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            yy = z_new + ((t - 1.0) / t_new) * (z_new - cur)
+            t = t_new
+        f_prev = f_new
+        if np.linalg.norm(z_new - cur) <= tol * (1.0 + np.linalg.norm(z_new)):
+            cur = z_new
+            break
+        cur = z_new
+    z_new = cur
+    w = v / tau - A.rmatvec(z_new)
+    y_new = pdopt.prox.conj_prox_via_moreau(problem.f, w,
+                                            np.full(problem.f.dim, 1.0 / tau))
+    v_new = v - tau * (A.rmatvec(z_new) + y_new)
+    return z_new, y_new, v_new
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(2, 4), cols=st.integers(2, 4),
+       kind=st.sampled_from(["quadratic", "l1"]), p=st.integers(1, 40),
+       max_iter=st.integers(0, 40), tol=st.sampled_from([1e-12, 1e-4, 1e-1]),
+       tau=st.floats(0.1, 2.0), ridge=st.floats(0.05, 1.0),
+       step=st.floats(0.1, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_fista_loop_is_the_parent_loop_bit_for_bit(rows, cols, kind, p,
+                                                   max_iter, tol, tau, ridge,
+                                                   step, seed):
+    # small max_iter runs the exact solvers out of iterations, a loose tol
+    # stops them early; both must return the very same bytes as before
+    rng = np.random.default_rng(seed)
+    A = Grad2D(rows, cols)
+    m, n = A.shape
+    if kind == "quadratic":
+        g = Quadratic(m, weight=0.5 + rng.random(), center=rng.standard_normal(m))
+    else:
+        g = L1(m, lam=0.1 + rng.random())
+    m2 = Gram(tau, A, ridge=ridge)
+    sub = ZSubproblem(rng.standard_normal(m), rng.standard_normal(m), m2, g)
+    gamma = step / pdopt.solver.m2_norm_estimate(m2)
+
+    z, count = inner_fista_restart(sub, gamma, p)
+    assert count == p
+    assert z.tobytes() == _old_fista_restart(sub, gamma, p).tobytes()
+    for kw in ({}, {"gamma": gamma}, {"plan": BcdPlan(A, m2)}):
+        got = solve_subproblem_exact(sub, tol=tol, max_iter=max_iter, **kw)
+        want = _old_solve_exact(sub, tol, max_iter, **kw)
+        assert got.tobytes() == want.tobytes(), kw
+
+    prob = SaddleProblem(f=Quadratic(n, weight=2.0, center=rng.standard_normal(n)),
+                         g=g, A=A)
+    args = (rng.standard_normal(m), rng.standard_normal(n),
+            rng.standard_normal(n), tau, prob)
+    got = admm_dual_step(*args, tol=tol, max_iter=max_iter)
+    want = _old_admm_dual_step(*args, tol, max_iter)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def test_bcd_plan_rebinds_for_another_g():
     # a plan bound to problem.g is swept with other functions: each sweep
     # binds its own g
