@@ -13,6 +13,7 @@ identity the block solvers rely on; see the project README.
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 
 class DimensionMismatchError(ValueError):
@@ -61,13 +62,37 @@ def _div_into(ch1, ch2, out, h):
     return out
 
 
+def bind_csr_matvec(mat):
+    """``v -> mat @ v`` for a float64 CSR matrix, bound once.
+
+    The product is ``_sparsetools.csr_matvec`` into a fresh zero vector, the
+    call scipy's ``mat @ v`` makes after its Python dispatch, so the result
+    is the same bits for about 3 us less per call.  That private call is
+    made here and nowhere else.  It reads ``v`` without a length check: the
+    caller passes a float vector of length ``mat.shape[1]``.  The matrix
+    must not change after binding.
+    """
+    if mat.format != "csr" or mat.dtype != np.float64:
+        raise TypeError("bind_csr_matvec needs a float64 CSR matrix")
+    m, n = mat.shape
+    indptr, indices, data = mat.indptr, mat.indices, mat.data
+    matvec = _sparsetools.csr_matvec
+
+    def product(v):
+        out = np.zeros(m)
+        matvec(m, n, indptr, indices, data, v, out)
+        return out
+
+    return product
+
+
 def grad2d(u, h=1.0):
     """Forward-difference gradient of a 2D array.
 
     Returns (ch1, ch2) where ch1[i, j] = (u[i+1, j] - u[i, j]) / h with a
     zero last row, and ch2 analogously in j with a zero last column.
     """
-    if h <= 0:
+    if not h > 0:         # NaN fails this too
         raise ValueError("h must be positive")
     u = np.asarray(u, dtype=float)
     ch1, ch2 = _grad_into(u, np.empty((2,) + u.shape), h)
@@ -76,7 +101,7 @@ def grad2d(u, h=1.0):
 
 def div2d(ch1, ch2, h=1.0):
     """Divergence of a two-channel field, the exact negative adjoint of grad2d."""
-    if h <= 0:
+    if not h > 0:         # NaN fails this too
         raise ValueError("h must be positive")
     ch1 = np.asarray(ch1, dtype=float)
     ch2 = np.asarray(ch2, dtype=float)
@@ -121,7 +146,7 @@ class Grad2D(LinearOperator):
     """2D forward-difference gradient, R^{MN} -> R^{2MN}."""
 
     def __init__(self, rows, cols, h=1.0):
-        if h <= 0:
+        if not h > 0:         # NaN fails this too
             raise ValueError("h must be positive")
         self.rows = rows
         self.cols = cols
@@ -216,17 +241,25 @@ class Div2D(LinearOperator):
 
 
 class SparseOp(LinearOperator):
-    """Wrapper around a scipy sparse matrix in CSR form."""
+    """Wrapper around a scipy sparse matrix in CSR form.
+
+    The CSR transpose is built once at construction, and both products are
+    bound with ``bind_csr_matvec``: ``rmatvec`` gives the bits of
+    ``mat.T @ z`` (each output sums its terms in row order either way)
+    without building a CSC transpose per call.
+    """
 
     def __init__(self, mat):
         self.mat = sp.csr_matrix(mat).astype(float)
         self.shape = self.mat.shape
+        self._forward = bind_csr_matvec(self.mat)
+        self._adjoint = bind_csr_matvec(self.mat.T.tocsr())
 
     def matvec(self, x):
-        return self.mat @ self._check_forward(x)
+        return self._forward(self._check_forward(x))
 
     def rmatvec(self, z):
-        return self.mat.T @ self._check_adjoint(z)
+        return self._adjoint(self._check_adjoint(z))
 
     def to_sparse(self):
         return self.mat

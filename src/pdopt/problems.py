@@ -176,7 +176,7 @@ def ct(R, b, lam, rows, cols, precond_variant="norm", tau=0.01):
     b = np.asarray(b, dtype=float).ravel()
     if b.size != R_op.shape[0]:
         raise ValueError("b length must equal the row count of R")
-    _require_finite(b=b)
+    _require_finite(R=R_op.to_sparse().data, b=b)
     n = rows * cols
     grad = Grad2D(rows, cols, h=1.0)
     A = StackedOp([R_op, grad])

@@ -17,7 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import prox as _prox
-from .operators import OrderingError, StackedOp, power_iteration
+from .operators import (OrderingError, StackedOp, bind_csr_matvec,
+                        power_iteration)
 from .precond import (BlockDiag, Diagonal, Gram, Preconditioner,
                       ScaledIdentity, gram_precond, ordering_for,
                       scaled_identity)
@@ -265,7 +266,10 @@ class BcdPlan:
     block: ``G_b`` is the block's rows of ``A A^T`` with the self-coupling
     removed, scaled row-wise by ``tau/h``, with columns in the order of
     ``idx``.  Building ``G_b`` also checks the ordering: an off-diagonal
-    entry of ``A A^T`` inside a block raises OrderingError.
+    entry of ``A A^T`` inside a block raises OrderingError.  ``products``
+    holds, per segment, ``None`` for a diagonal one and, for a Gram one,
+    one ``(slice, v -> G_b @ v)`` pair per colour block with the product
+    bound once (``bind_csr_matvec``).
 
     ``bind(g)`` gives every diagonal segment and every colour block its
     scalar conjugate prox of ``g`` at the block's fixed step (``1/e`` or
@@ -311,6 +315,9 @@ class BcdPlan:
             raise ConfigError(
                 "BCD needs M2 in Gram form or a block-diagonal composite over "
                 "a stacked operator")
+        self.products = [None if seg[0] == "diag" else
+                         [(sl, bind_csr_matvec(g_b)) for sl, g_b in seg[5]]
+                         for seg in self.segments]
 
     @staticmethod
     def _gram_segment(lo, op, tau, ridge, blocks):
@@ -410,19 +417,20 @@ def _bcd_sweep(sub, plan, z, epochs, at_ref=False):
     with dz = z - z_ref, and one scatter writes z back.  From z_ref the
     first block's product is skipped, since dz is still zero there.
     """
-    for seg, kernel in zip(plan.segments, plan.bind(sub.g)):
+    for seg, kernel, products in zip(plan.segments, plan.bind(sub.g),
+                                     plan.products):
         if seg[0] == "diag":
             _, lo, hi, e = seg
             z[lo:hi] = kernel(sub.z_ref[lo:hi] + sub.q[lo:hi] / e)
         else:
-            _, _, _, idx, inv_h, blocks = seg
+            _, _, _, idx, inv_h, _ = seg
             z_ref = sub.z_ref[idx]
             c = z_ref + sub.q[idx] * inv_h
             dz = np.zeros(idx.size) if at_ref else z[idx] - z_ref
             skip = at_ref       # G_b @ 0 is +0.0 and c - 0.0 == c bit for bit
             for _ in range(epochs):
-                for (sl, gram), block_kernel in zip(blocks, kernel):
-                    v = c[sl] if skip else c[sl] - gram @ dz
+                for (sl, product), block_kernel in zip(products, kernel):
+                    v = c[sl] if skip else c[sl] - product(dz)
                     skip = False
                     dz[sl] = block_kernel(v) - z_ref[sl]
             z[idx] = z_ref + dz

@@ -156,6 +156,20 @@ def test_solve_emd_solution_shape(tmp_path, capsys):
     assert flux.shape == (8, 4)     # two channels stacked
 
 
+def test_solve_emd_nan_grid_spacing_is_validation_error(tmp_path, capsys):
+    r0 = np.zeros((4, 4)); r0[0, 0] = 1.0
+    r1 = np.zeros((4, 4)); r1[3, 3] = 1.0
+    p0, p1 = str(tmp_path / "r0.csv"), str(tmp_path / "r1.csv")
+    gridio.save_grid_csv(p0, r0)
+    gridio.save_grid_csv(p1, r1)
+    code = main(["solve", "--output", str(tmp_path), "problem=emd",
+                 f"input={p0}", f"input2={p1}", "h=nan", "max_outer=2000"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # compare command
 

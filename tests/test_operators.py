@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from pdopt.operators import (DimensionMismatchError, Div2D, Grad2D,
                              InvalidWeightsError, OrderingError, SparseOp,
-                             StackedOp, WeightedGrad2D, block_gram, div2d,
-                             grad2d, op_norm_sq_estimate)
+                             StackedOp, WeightedGrad2D, bind_csr_matvec,
+                             block_gram, div2d, grad2d, op_norm_sq_estimate)
 from pdopt.precond import (four_block_ordering, ordering_for,
                            trivial_ordering, two_block_ordering)
 
@@ -313,3 +315,74 @@ def test_grad2d_div2d_match_slice_formulas_bit_for_bit(rows, cols, h, seed):
         assert got.tobytes() == want.tobytes()
     p1, p2 = (_grid_values(rng, rows * cols).reshape(rows, cols) for _ in range(2))
     assert div2d(p1, p2, h).tobytes() == _div_by_slices(p1, p2, h).tobytes()
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("build", [
+    lambda h: Grad2D(2, 2, h=h),
+    lambda h: Div2D(2, 2, h=h),
+    lambda h: grad2d(np.ones((2, 2)), h=h),
+    lambda h: div2d(np.ones((2, 2)), np.ones((2, 2)), h=h),
+], ids=["Grad2D", "Div2D", "grad2d", "div2d"])
+def test_grid_spacing_must_be_positive(build, h):
+    # a NaN passes "h <= 0", so the check is written "not h > 0"
+    with pytest.raises(ValueError, match="h must be positive"):
+        build(h)
+
+
+@st.composite
+def _csr_matrices(draw):
+    """CSR matrices of shape up to 40 x 40 as a user might hand them over:
+    empty rows and columns, duplicate entries, column indices unsorted within
+    a row, and int32 or int64 index arrays."""
+    m, n = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    nnz = draw(st.integers(0, 3 * max(m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # rows and columns from random subsets, so some stay empty and the
+    # same (row, column) pair repeats
+    rows = rng.choice(rng.permutation(m)[:rng.integers(1, m + 1)], nnz)
+    cols = rng.choice(rng.permutation(n)[:rng.integers(1, n + 1)], nnz)
+    data = _grid_values(rng, nnz)
+    order = np.argsort(rows, kind="stable")      # sorted rows, columns as drawn
+    mat = sp.csr_matrix((m, n))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    mat.data = data[order]
+    mat.indices = cols[order].astype(dtype)
+    mat.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))]
+                                ).astype(dtype)
+    return mat
+
+
+@settings(max_examples=200, deadline=None)
+@given(mat=_csr_matrices(), seed=st.integers(0, 2 ** 32 - 1))
+def test_bound_csr_products_are_scipys_bit_for_bit(mat, seed):
+    rng = np.random.default_rng(seed)
+    x = _grid_values(rng, mat.shape[1])
+    z = _grid_values(rng, mat.shape[0])
+    want_fwd, want_adj = mat @ x, mat.T @ z
+    assert bind_csr_matvec(mat)(x).tobytes() == want_fwd.tobytes()
+    assert bind_csr_matvec(mat.T.tocsr())(z).tobytes() == want_adj.tobytes()
+    op = SparseOp(mat)
+    assert op.matvec(x).tobytes() == want_fwd.tobytes()
+    assert op.rmatvec(z).tobytes() == want_adj.tobytes()
+
+
+def test_bind_csr_matvec_rejects_other_formats_and_dtypes():
+    mat = sp.random(4, 3, density=0.5, random_state=5, format="csr")
+    with pytest.raises(TypeError):
+        bind_csr_matvec(mat.tocsc())
+    with pytest.raises(TypeError):
+        bind_csr_matvec(mat.astype(np.float32))
+
+
+def test_sparse_op_adjoint_builds_no_transpose_per_call(monkeypatch):
+    op = SparseOp(sp.random(7, 5, density=0.5, random_state=6))
+    z = np.random.default_rng(6).standard_normal(7)
+    want = op.mat.T @ z
+
+    def no_transpose(*args, **kwargs):
+        raise AssertionError("rmatvec built a transpose")
+
+    monkeypatch.setattr(sp.csr_matrix, "transpose", no_transpose)
+    for _ in range(3):
+        assert op.rmatvec(z).tobytes() == want.tobytes()

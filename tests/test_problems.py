@@ -132,6 +132,8 @@ _BUILDERS = {
     "graphcut": lambda data: graphcut(np.repeat(data[:, :, None], 3, axis=2)),
     "emd": lambda data: emd(data, np.ones_like(data)),
     "ct": lambda data: ct(sp.eye(16), data.ravel(), lam=0.1, rows=4, cols=4),
+    "ct-R": lambda data: ct(sp.csr_matrix(np.diag(data.ravel())), np.ones(16),
+                            lam=0.1, rows=4, cols=4),
 }
 
 

@@ -491,6 +491,42 @@ def test_bcd_plan_block_over_two_concat_parts():
     np.testing.assert_allclose(z_got, z, atol=1e-13)
 
 
+def _benchmark_instances():
+    """The benchmark's four instances (tvl1-64, ct-16, emd-32, tvl1-256) at
+    iPrePDHG's tau; the BCD plan depends on the operator and M2 only, so
+    the image and marginals are stand-ins."""
+    from pdopt import problems
+    rng = np.random.default_rng(31)
+    R = problems.synth_line_integral_matrix(16, 16, 12, 20, seed=3)
+    blob = np.exp(-np.arange(32.0) ** 2 / 18.0)
+    yield problems.tvl1(rng.random((64, 64)), lam=1.0), 0.01
+    yield problems.ct(R, rng.random(R.shape[0]), lam=0.1, rows=16, cols=16,
+                      tau=0.1), 0.1
+    yield problems.emd(np.outer(blob, blob), np.outer(blob[::-1], blob)), 0.001
+    yield problems.tvl1(rng.random((256, 256)), lam=1.0), 0.01
+
+
+def test_bcd_bound_block_products_are_scipys_bit_for_bit():
+    rng = np.random.default_rng(32)
+    for inst, tau in _benchmark_instances():
+        cfg = inst.config(algorithm="iprepdhg", inner="bcd", tau=tau, p=1)
+        plan = validate_config(inst.problem, cfg)["plan"]
+        n_blocks = 0
+        for seg, products in zip(plan.segments, plan.products):
+            if seg[0] == "diag":
+                assert products is None
+                continue
+            idx, blocks = seg[3], seg[5]
+            assert len(products) == len(blocks)
+            for (sl, g_b), (sl_bound, product) in zip(blocks, products):
+                assert sl_bound == sl
+                dz = rng.standard_normal(idx.size)
+                dz[rng.random(idx.size) < 0.2] = -0.0
+                assert product(dz).tobytes() == (g_b @ dz).tobytes()
+                n_blocks += 1
+        assert n_blocks > 0, inst.name
+
+
 def test_bcd_plan_rejects_coupled_block():
     from pdopt.operators import OrderingError
     from pdopt.precond import trivial_ordering
