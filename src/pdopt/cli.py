@@ -34,10 +34,11 @@ _FLOAT_KEYS = {"lam", "alpha", "beta", "tau", "sigma", "gamma", "h", "noise",
                "budget_seconds", "tol"}
 _INT_KEYS = {"p", "max_outer", "seed", "log_every", "angles", "detectors",
              "rows", "cols", "jobs"}
+_LIST_KEYS = {"taus": float, "ps": int, "seeds": int}      # comma-separated
 _STR_KEYS = {"problem", "input", "input2", "matrix", "data", "output",
              "prefix", "algorithm", "inner", "variant", "suite", "methods",
-             "time_stamps", "mu_f", "mu_b", "taus", "ps", "seeds"}
-_KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
+             "time_stamps", "mu_f", "mu_b"}
+_KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | set(_LIST_KEYS)
 
 
 def _convert(key, raw, where):
@@ -46,10 +47,13 @@ def _convert(key, raw, where):
             return float(raw)
         if key in _INT_KEYS:
             return int(raw)
+        if key in _LIST_KEYS:
+            return [_LIST_KEYS[key](t) for t in raw.split(",")]
         return raw
     except ValueError:
-        raise CliError(f"{where}: key '{key}' expects a "
-                       f"{'float' if key in _FLOAT_KEYS else 'int'}, got {raw!r}")
+        kind = ("float" if key in _FLOAT_KEYS else "int" if key in _INT_KEYS
+                else f"comma-separated list of {_LIST_KEYS[key].__name__}")
+        raise CliError(f"{where}: key '{key}' expects a {kind}, got {raw!r}")
 
 
 def read_config_file(path):
@@ -163,29 +167,23 @@ def _build_problem(name, cfg):
     raise CliError(f"unknown problem {name!r}")
 
 
-_SOLVER_KEYS = ("algorithm", "tau", "sigma", "inner", "gamma", "p",
-                "phi_star", "tol_delta", "tol_residual", "max_outer",
-                "max_seconds", "seed", "log_every")
+def _stop_rules(cfg):
+    """The stop-rule and logging keys of ``cfg``; tol_residual=1e-8 by default."""
+    keys = ("phi_star", "tol_delta", "tol_residual", "max_outer",
+            "max_seconds", "log_every")
+    rules = {k: cfg[k] for k in keys if k in cfg}
+    if "tol_delta" not in rules and "tol_residual" not in rules:
+        rules["tol_residual"] = 1e-8
+    return rules
 
 
 def build_solver_config(instance, cfg):
-    """The SolverConfig of a solve from the config keys; a setting that
-    cannot make one is a CliError.  ``cmd_solve`` validates it against the
-    problem once and hands what that resolves to ``solver.run``."""
-    overrides = {k: cfg[k] for k in _SOLVER_KEYS if k in cfg}
-    if overrides.get("algorithm") == "pdhg":
-        if cfg.get("inner"):
-            raise CliError("pdhg takes no inner solver")
-        overrides["inner"] = None
-        overrides["p"] = 1
-        overrides["m1"] = None
-        overrides["m2"] = None
-    if "tol_delta" not in overrides and "tol_residual" not in overrides:
-        overrides["tol_residual"] = 1e-8
-    try:
-        return instance.config(**overrides)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    """The SolverConfig of a solve from the config keys.  ``cmd_solve``
+    validates it against the problem once and hands what that resolves to
+    ``solver.run``; a ValueError from either step is a CliError."""
+    overrides = {k: cfg[k] for k in ("algorithm", "tau", "sigma", "inner",
+                                     "gamma", "p") if k in cfg}
+    return instance.config(**overrides, **_stop_rules(cfg))
 
 
 def _output_dir(cfg, args):
@@ -212,8 +210,8 @@ def _write_solution(instance, x, outdir, prefix):
 def cmd_solve(args):
     cfg = parse_config(args)
     instance = build_problem(cfg)
-    sc = build_solver_config(instance, cfg)
     try:
+        sc = build_solver_config(instance, cfg)
         resolved = solver.validate_config(instance.problem, sc)
     except ValueError as exc:
         raise CliError(str(exc))
@@ -241,17 +239,11 @@ _METHODS = ("pdhg", "dp_pdhg", "prepdhg", "iprepdhg_bcd", "iprepdhg_fista",
 
 
 def _method_config(instance, method, tau, p, cfg):
-    prob = instance.problem
-    common = {k: cfg[k] for k in ("phi_star", "tol_delta", "tol_residual",
-                                  "max_outer", "max_seconds", "seed",
-                                  "log_every") if k in cfg}
-    if "tol_delta" not in common and "tol_residual" not in common:
-        common["tol_residual"] = 1e-8
+    common = _stop_rules(cfg)
     if method == "pdhg":
-        return instance.config(algorithm="pdhg", inner=None, p=1, tau=tau,
-                               m1=None, m2=None, **common)
+        return instance.config(algorithm="pdhg", tau=tau, **common)
     if method == "dp_pdhg":
-        m1, m2 = precond.pock_diagonal(prob.A)
+        m1, m2 = precond.pock_diagonal(instance.problem.A)
         return instance.config(algorithm="prepdhg_exact", inner=None, p=1,
                                tau=tau, m1=m1, m2=m2, **common)
     if method == "prepdhg":
@@ -278,8 +270,8 @@ def cmd_compare(args):
     methods = [m.strip() for m in _require(cfg, "methods").split(",") if m.strip()]
     if len(methods) < 2:
         raise CliError("compare needs at least 2 methods")
-    taus = [float(t) for t in str(cfg.get("taus", cfg.get("tau", 0.01))).split(",")]
-    ps = [int(t) for t in str(cfg.get("ps", cfg.get("p", 1))).split(",")]
+    taus = cfg.get("taus", [cfg.get("tau", 0.01)])
+    ps = cfg.get("ps", [cfg.get("p", 1)])
     outdir = _output_dir(cfg, args)
     prefix = cfg.get("prefix", instance.name)
 
@@ -318,15 +310,18 @@ def cmd_compare(args):
                     or r["time_s"] < rows[best[r["method"]]]["time_s"]):
                 best[r["method"]] = i
     path = os.path.join(outdir, f"{prefix}_compare.csv")
-    with open(path, "w") as fh:
-        fh.write("method,params,status,outer_iters,time_s,final_delta,best,error\n")
-        for i, r in enumerate(rows):
-            t = "" if r["time_s"] == "" else format(r["time_s"], ".6f")
-            d = ("" if r["final_delta"] in ("", None)
-                 else format(r["final_delta"], ".6e"))
-            mark = "1" if best.get(r["method"]) == i else ""
-            fh.write(f"{r['method']},{r['params']},{r['status']},"
-                     f"{r['outer_iters']},{t},{d},{mark},{r['error']}\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write("method,params,status,outer_iters,time_s,final_delta,best,error\n")
+            for i, r in enumerate(rows):
+                t = "" if r["time_s"] == "" else format(r["time_s"], ".6f")
+                d = ("" if r["final_delta"] in ("", None)
+                     else format(r["final_delta"], ".6e"))
+                mark = "1" if best.get(r["method"]) == i else ""
+                fh.write(f"{r['method']},{r['params']},{r['status']},"
+                         f"{r['outer_iters']},{t},{d},{mark},{r['error']}\n")
+    except OSError as exc:
+        raise CliError(f"cannot write artifacts: {exc}", EXIT_IO)
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -513,7 +508,7 @@ def cmd_validate(args):
     for nm in names:
         if nm not in _SUITES:
             raise CliError(f"unknown suite {nm!r}; known: {', '.join(_SUITES)}")
-    seeds = [int(s) for s in str(cfg.get("seeds", "1,2,3,4,5")).split(",")]
+    seeds = cfg.get("seeds", [1, 2, 3, 4, 5])
     failed = False
     for nm in names:
         margin, ok = _SUITES[nm](seeds)

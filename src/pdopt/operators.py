@@ -246,11 +246,13 @@ class SparseOp(LinearOperator):
     The CSR transpose is built once at construction, and both products are
     bound with ``bind_csr_matvec``: ``rmatvec`` gives the bits of
     ``mat.T @ z`` (each output sums its terms in row order either way)
-    without building a CSC transpose per call.
+    without building a CSC transpose per call.  Its own copy is canonical
+    (sorted, duplicates summed), which ``abs`` or ``power`` leave as it is.
     """
 
     def __init__(self, mat):
         self.mat = sp.csr_matrix(mat).astype(float)
+        self.mat.sum_duplicates()
         self.shape = self.mat.shape
         self._forward = bind_csr_matvec(self.mat)
         self._adjoint = bind_csr_matvec(self.mat.T.tocsr())

@@ -31,11 +31,13 @@ class ProblemInstance:
     shape: tuple
     params: dict = field(default_factory=dict)
     recommended: dict = field(default_factory=dict)
-    phi_star: float = None
 
     def config(self, **overrides):
-        """A SolverConfig built from the recommended settings plus overrides."""
+        """A SolverConfig built from the recommended settings plus overrides;
+        pdhg takes none of the recommended ``inner``, ``p``, ``m1``, ``m2``."""
         kw = dict(self.recommended)
+        if overrides.get("algorithm", kw.get("algorithm")) == "pdhg":
+            kw = {k: v for k, v in kw.items() if k not in ("inner", "p", "m1", "m2")}
         kw.update(overrides)
         tau = kw.pop("tau", 0.01)
         m, n = self.problem.dims
@@ -314,8 +316,7 @@ def reference_solve(instance, tol=1e-10, max_outer=200000, x0=None, z0=None):
     if instance.name == "emd":
         return _emd_reference(instance, max_outer, x0, z0)
     kw = {"algorithm": "prepdhg_exact", "tol_residual": tol,
-          "max_outer": max_outer, "exact_tol": 1e-12,
-          "x0": x0, "z0": z0, "log_every": max(1, max_outer)}
+          "max_outer": max_outer, "x0": x0, "z0": z0, "log_every": max(1, max_outer)}
     try:
         cfg = instance.config(inner="bcd", **kw)
         resolved = _solver.validate_config(prob, cfg)

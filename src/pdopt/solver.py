@@ -25,6 +25,9 @@ from .precond import (BlockDiag, Diagonal, Gram, Preconditioner,
 from .operators import op_norm_sq_estimate
 
 
+EXACT_TOL = 1e-12      # step-norm tolerance of prepdhg_exact's z-subproblem solve
+
+
 class ConfigError(ValueError):
     """Invalid solver configuration."""
 
@@ -72,7 +75,7 @@ class SaddleProblem:
 
 @dataclass
 class SolverConfig:
-    """Settings of one run.
+    """Settings of one run, which ``validate_config`` turns into its ``step``.
 
     Monitoring follows the log cadence and the stop rules: ``phi`` and the
     problem's feasibility are evaluated on logged iterations (every
@@ -91,13 +94,11 @@ class SolverConfig:
     gamma: float = None
     ordering: object = None
     p: int = 1
-    exact_tol: float = 1e-12
     phi_star: float = None
     tol_delta: float = None
     tol_residual: float = None
     max_outer: int = 10000
     max_seconds: float = None
-    seed: int = 0
     log_every: int = 1
     monitor_err_ratio: bool = False
     monitor_lyapunov: bool = False
@@ -111,18 +112,15 @@ class IterateState:
     z: np.ndarray
     sum_x: np.ndarray
     sum_z: np.ndarray
-    navg: int = 0
-    y: np.ndarray = None
-    u: np.ndarray = None
     k: int = 0
 
     @property
     def x_avg(self):
-        return self.sum_x / max(self.navg, 1)
+        return self.sum_x / max(self.k, 1)
 
     @property
     def z_avg(self):
-        return self.sum_z / max(self.navg, 1)
+        return self.sum_z / max(self.k, 1)
 
 
 TRACE_FIELDS = ("k", "obj", "delta", "feas", "dz_norm", "err_ratio",
@@ -389,7 +387,7 @@ def inner_bcd(sub, plan, p):
     return z, p
 
 
-def solve_subproblem_exact(sub, tol=1e-12, max_iter=200000, gamma=None, plan=None):
+def solve_subproblem_exact(sub, tol=EXACT_TOL, max_iter=200000, gamma=None, plan=None):
     """Iterate an inner solver (BCD epochs under a ``plan``, else FISTA with
     restart) until the step norm falls below tol: an "exact" solve for
     equivalence oracles and the reference engine."""
@@ -646,9 +644,14 @@ def _bind_x_prox(f, d):
 def validate_config(problem, config):
     """Check ``config`` against ``problem`` and resolve what a run needs, once.
 
-    Returns a dict: ``f_prox``, the x-step prox of ``f`` bound at ``1/tau``
-    (pdhg) or at ``m1``'s diagonal; ``sigma`` for pdhg; otherwise ``m1``,
-    ``m2``, ``inner`` and either a bound ``plan`` (bcd) or ``gamma``.
+    Returns a dict.  Its ``step(x, z) -> (x_new, z_new, sub)`` is the run's
+    iteration: ``pdhg_step`` (``sub`` None), or ``prepdhg_x_step`` and a
+    z-solver of the ZSubproblem ``sub``: for prepdhg_exact the closed form
+    under a diagonal M2 or ``solve_subproblem_exact``, for iprepdhg ``p``
+    steps of ``inner_bcd``, ``inner_proxgrad`` or ``inner_fista_restart``,
+    looked up in this module when called.  Also ``f_prox``, the x-step prox
+    of ``f`` bound at ``1/tau`` or ``m1``'s diagonal; ``sigma`` (pdhg), else
+    ``m1``, ``m2``, a bound ``plan`` (bcd) or ``gamma``, None if unused.
     Raises ConfigError for a configuration that cannot run.
     """
     m, n = problem.dims
@@ -674,13 +677,18 @@ def validate_config(problem, config):
     if cfg.algorithm == "pdhg":
         if cfg.inner is not None:
             raise ConfigError("pdhg takes no inner iterator")
-        sigma = cfg.sigma
+        tau, sigma = cfg.tau, cfg.sigma
         norm_sq = op_norm_sq_estimate(problem.A)
         if sigma is None:
-            sigma = 1.0 / (cfg.tau * norm_sq) if norm_sq > 0 else 1.0
-        elif norm_sq > 0 and 1.0 / (cfg.tau * sigma) < norm_sq / 1.01 * (1 - 1e-9):
+            sigma = 1.0 / (tau * norm_sq) if norm_sq > 0 else 1.0
+        elif norm_sq > 0 and 1.0 / (tau * sigma) < norm_sq / 1.01 * (1 - 1e-9):
             raise ConfigError("pdhg stepsizes violate 1/(tau*sigma) >= ||A||^2")
-        return {"sigma": sigma, "f_prox": _bind_x_prox(problem.f, 1.0 / cfg.tau)}
+        f_prox = _bind_x_prox(problem.f, 1.0 / tau)
+
+        def step(x, z):
+            return (*pdhg_step(x, z, problem, tau, sigma, f_prox), None)
+
+        return {"sigma": sigma, "f_prox": f_prox, "step": step}
     m1 = cfg.m1 if cfg.m1 is not None else scaled_identity(cfg.tau, n)
     m2 = cfg.m2 if cfg.m2 is not None else gram_precond(problem.A, cfg.tau)
     if not isinstance(m1, (ScaledIdentity, Diagonal)):
@@ -688,23 +696,44 @@ def validate_config(problem, config):
     inner = cfg.inner
     if cfg.algorithm == "iprepdhg" and inner is None:
         inner = "bcd"
-    out = {"m1": m1, "m2": m2, "inner": inner,
-           "f_prox": _bind_x_prox(problem.f, m1.diagonal())}
+    f_prox = _bind_x_prox(problem.f, m1.diagonal())
+    plan = gamma = None
     if inner == "bcd":
         plan = BcdPlan(problem.A, m2, cfg.ordering)
         try:
             plan.bind(problem.g)
         except _prox.UnsupportedKindError as exc:
             raise ConfigError(f"inner='bcd' needs a scalar conjugate prox: {exc}") from None
-        out["plan"] = plan
     elif inner in ("proxgrad", "fista_restart", None):
         gamma = cfg.gamma
         if gamma is None:
             gamma = 1.0 / max(m2_norm_estimate(m2), 1e-30)
-        out["gamma"] = gamma
     else:
         raise ConfigError(f"unknown inner iterator {inner!r}")
-    return out
+    z_solve = _z_solver(cfg.algorithm, inner, problem.g, m2, plan, gamma, cfg.p)
+
+    def step(x, z):
+        x_new = prepdhg_x_step(x, z, problem, m1, f_prox)
+        sub = ZSubproblem(z, problem.A.matvec(2.0 * x_new - x), m2, problem.g)
+        return x_new, z_solve(sub), sub
+
+    return {"m1": m1, "m2": m2, "f_prox": f_prox, "plan": plan,
+            "gamma": gamma, "step": step}
+
+
+def _z_solver(algorithm, inner, g, m2, plan, gamma, p):
+    """The z-step ``sub -> z_new`` of a preconditioned algorithm."""
+    if algorithm == "prepdhg_exact":
+        if isinstance(m2, (Diagonal, ScaledIdentity)):
+            # diagonal metric: the z-subproblem has a closed form
+            d2 = m2.diagonal()
+            return lambda sub: _prox.conj_prox(g, sub.z_ref + sub.q / d2, d2)
+        return lambda sub: solve_subproblem_exact(sub, gamma=gamma, plan=plan)
+    if inner == "bcd":
+        return lambda sub: inner_bcd(sub, plan, p)[0]
+    if inner == "proxgrad":
+        return lambda sub: inner_proxgrad(sub, gamma, p)[0]
+    return lambda sub: inner_fista_restart(sub, gamma, p)[0]
 
 
 def run(problem, config, resolved=None):
@@ -723,9 +752,8 @@ def run(problem, config, resolved=None):
     z = np.zeros(m) if cfg.z0 is None else np.asarray(cfg.z0, dtype=float).copy()
     state = IterateState(x=x, z=z, sum_x=np.zeros(n), sum_z=np.zeros(m))
     trace = Trace()
+    step = resolved["step"]
     m1 = resolved.get("m1")
-    m2 = resolved.get("m2")
-    f_prox = resolved["f_prox"]
     status = "not-converged"
     final_delta = None
     elapsed = 0.0
@@ -733,37 +761,11 @@ def run(problem, config, resolved=None):
 
     for k in range(1, cfg.max_outer + 1):
         tic = time.perf_counter()
-        x_prev = state.x
-        z_prev = state.z
-        if cfg.algorithm == "pdhg":
-            x_new, z_new = pdhg_step(x_prev, z_prev, problem, cfg.tau,
-                                     resolved["sigma"], f_prox)
-            sub = None
-        else:
-            x_new = prepdhg_x_step(x_prev, z_prev, problem, m1, f_prox)
-            q = problem.A.matvec(2.0 * x_new - x_prev)
-            sub = ZSubproblem(z_prev, q, m2, problem.g)
-            if cfg.algorithm == "prepdhg_exact" and isinstance(
-                    m2, (Diagonal, ScaledIdentity)):
-                # diagonal metric: the z-subproblem has a closed form
-                d2 = m2.diagonal()
-                z_new = _prox.conj_prox(problem.g, z_prev + q / d2, d2)
-            elif cfg.algorithm == "prepdhg_exact":
-                z_new = solve_subproblem_exact(
-                    sub, tol=cfg.exact_tol,
-                    gamma=resolved.get("gamma"),
-                    plan=resolved.get("plan"))
-            elif resolved["inner"] == "bcd":
-                z_new, _ = inner_bcd(sub, resolved["plan"], cfg.p)
-            elif resolved["inner"] == "proxgrad":
-                z_new, _ = inner_proxgrad(sub, resolved["gamma"], cfg.p)
-            else:
-                z_new, _ = inner_fista_restart(sub, resolved["gamma"], cfg.p)
-        state.x = x_new
-        state.z = z_new
+        x_prev, z_prev = state.x, state.z
+        x_new, z_new, sub = step(x_prev, z_prev)
+        state.x, state.z = x_new, z_new
         state.sum_x += x_new
         state.sum_z += z_new
-        state.navg += 1
         state.k = k
 
         err_ratio = None
@@ -775,7 +777,6 @@ def run(problem, config, resolved=None):
         lyap = None
         if cfg.monitor_lyapunov and m1 is not None:
             y, u = dual_transform(x_new, x_prev, z_prev, m1, problem.A)
-            state.y, state.u = y, u
             lyap = lyapunov(z_prev, y, u, m1, problem)
         elapsed += time.perf_counter() - tic
 

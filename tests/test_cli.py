@@ -42,13 +42,11 @@ def test_defaults_from_problem(noisy_pgm):
     assert sc.tol_residual == 1e-8
 
 
-def test_pdhg_with_inner_is_rejected(noisy_pgm):
-    cfg = parse_config(_Args(overrides=["problem=tvl1", f"input={noisy_pgm}",
-                                        "algorithm=pdhg", "inner=bcd"]))
-    inst = build_problem(cfg)
-    with pytest.raises(CliError) as err:
-        build_solver_config(inst, cfg)
-    assert err.value.exit_code == 3
+def test_pdhg_with_inner_is_rejected(noisy_pgm, tmp_path, capsys):
+    code = main(["solve", "--output", str(tmp_path), "problem=tvl1",
+                 f"input={noisy_pgm}", "algorithm=pdhg", "inner=bcd"])
+    assert code == 3
+    assert "pdhg takes no inner iterator" in capsys.readouterr().err
 
 
 def test_missing_problem_key():
@@ -213,6 +211,25 @@ def test_compare_records_crashes_per_row(noisy_pgm, tmp_path, capsys):
     assert all(",error," not in l for l in good)
 
 
+@pytest.mark.parametrize("bad", ["taus=abc", "ps=1.5", "taus=0.1,,0.2"])
+def test_compare_malformed_list_is_validation_error(noisy_pgm, tmp_path,
+                                                    capsys, bad):
+    code = main(["compare", "--output", str(tmp_path), "problem=tvl1",
+                 f"input={noisy_pgm}", "methods=pdhg,iprepdhg_bcd",
+                 "max_outer=5", bad])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        f"error: command line: key '{bad.split('=')[0]}' expects a comma-separated")
+
+
+def test_compare_unwritable_csv_is_io_error(noisy_pgm, tmp_path, capsys):
+    code = main(["compare", "--output", str(tmp_path), "problem=tvl1",
+                 f"input={noisy_pgm}", "methods=pdhg,iprepdhg_bcd",
+                 "max_outer=5", "prefix=nodir/x"])
+    assert code == 4
+    assert "cannot write" in capsys.readouterr().err
+
+
 def test_compare_validates_each_row_once(noisy_pgm, tmp_path, monkeypatch,
                                          capsys):
     from pdopt import solver
@@ -292,6 +309,12 @@ def test_validate_single_suite(capsys):
 
 def test_validate_unknown_suite(capsys):
     assert main(["validate", "--suite", "bogus"]) == 3
+
+
+def test_validate_malformed_seeds_is_validation_error(capsys):
+    assert main(["validate", "--suite", "moreau", "seeds=1,x"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: command line: key 'seeds' expects a comma-separated list of int")
 
 
 def test_validate_all_suites(capsys):

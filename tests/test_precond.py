@@ -168,6 +168,29 @@ def test_ct_block_precond_rowsum_rejects_zero_rows():
         ct_block_precond(R, 1, 2, tau=1.0, variant="rowsum")
 
 
+def test_builders_leave_a_sparse_operator_as_built():
+    # unsorted indices and a duplicate entry, which scipy's abs() and power()
+    # would sort and merge in place; SparseOp canonicalizes its own copy
+    from pdopt.solver import BcdPlan
+    mat = sp.csr_matrix((2, 4))
+    mat.data = np.array([1.0, 2.0, 0.5, -3.0, 4.0])
+    mat.indices = np.array([3, 1, 1, 0, 1], dtype=np.int32)
+    mat.indptr = np.array([0, 3, 5], dtype=np.int32)
+    dense = mat.toarray()
+    op = SparseOp(mat)
+    before = [a.copy() for a in (op.mat.indptr, op.mat.indices, op.mat.data)]
+    with pytest.warns(UserWarning):         # column 2 is empty
+        pock_diagonal(op)
+    ct_block_precond(op, 2, 2, tau=0.1, variant="rowsum")
+    BcdPlan(op, Gram(0.1, op), BlockOrdering("rows", [[0], [1]]))
+    for want, got in zip(before, (op.mat.indptr, op.mat.indices, op.mat.data)):
+        assert np.array_equal(got, want)
+    rng = np.random.default_rng(2)
+    x, z = rng.standard_normal(4), rng.standard_normal(2)
+    np.testing.assert_allclose(op.matvec(x), dense @ x, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(op.rmatvec(z), dense.T @ z, rtol=1e-14, atol=1e-14)
+
+
 @pytest.mark.parametrize("variant", ["norm", "rowsum"])
 def test_ct_block_precond_schur_valid(variant):
     rng = np.random.default_rng(1)

@@ -271,3 +271,31 @@ def test_instance_config_overrides():
     assert cfg.tau == 0.5 and cfg.p == 3 and cfg.max_outer == 17
     assert cfg.m1 is not None and cfg.m2 is not None
     np.testing.assert_allclose(cfg.m1.diagonal(), np.full(16, 2.0))
+
+
+def _small_instances():
+    rng = np.random.default_rng(40)
+    blob = np.exp(-np.arange(6.0) ** 2 / 4.0)
+    R = synth_line_integral_matrix(6, 6, 5, 7, seed=2)
+    yield tvl1(rng.random((6, 6)), lam=1.0)
+    yield graphcut(rng.random((6, 6, 3)))
+    yield emd(np.outer(blob, blob), np.outer(blob[::-1], blob))
+    yield ct(R, rng.random(R.shape[0]), lam=0.1, rows=6, cols=6)
+
+
+@pytest.mark.parametrize("inst", list(_small_instances()),
+                         ids=["tvl1", "graphcut", "emd", "ct"])
+def test_instance_config_pdhg_drops_the_preconditioned_settings(inst):
+    # the recommended inner iterator, p, m1 and m2 belong to iPrePDHG
+    stop = {"max_outer": 30, "tol_residual": None}
+    cfg = inst.config(algorithm="pdhg", **stop)
+    assert (cfg.inner, cfg.p, cfg.m1, cfg.m2) == (None, 1, None, None)
+    explicit = inst.config(algorithm="pdhg", inner=None, p=1, m1=None,
+                           m2=None, **stop)
+    got, want = run(inst.problem, cfg), run(inst.problem, explicit)
+    assert got.outer_iters == 30
+    assert got.trace.csv_text(omit_time=True) == want.trace.csv_text(omit_time=True)
+    assert np.array_equal(got.state.x, want.state.x)
+    # an explicit override still reaches the solver, which rejects it
+    with pytest.raises(ValueError, match="pdhg takes no inner iterator"):
+        run(inst.problem, inst.config(algorithm="pdhg", inner="bcd"))

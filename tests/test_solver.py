@@ -1024,6 +1024,94 @@ def test_final_delta_is_the_final_iterate_delta(stop):
     assert math.isfinite(res.monitor_s) and res.monitor_s >= 0
 
 
+# The per-iteration dispatch run() made before validate_config chose the
+# step once, written out as it was: the oracle for byte-identical runs.
+
+def _old_dispatch_step(problem, cfg, resolved):
+    m1, m2, f_prox = resolved.get("m1"), resolved.get("m2"), resolved["f_prox"]
+    inner = "bcd" if cfg.algorithm == "iprepdhg" and cfg.inner is None else cfg.inner
+
+    def step(x_prev, z_prev):
+        if cfg.algorithm == "pdhg":
+            x_new, z_new = pdhg_step(x_prev, z_prev, problem, cfg.tau,
+                                     resolved["sigma"], f_prox)
+            return x_new, z_new, None
+        x_new = prepdhg_x_step(x_prev, z_prev, problem, m1, f_prox)
+        q = problem.A.matvec(2.0 * x_new - x_prev)
+        sub = ZSubproblem(z_prev, q, m2, problem.g)
+        if cfg.algorithm == "prepdhg_exact" and isinstance(
+                m2, (Diagonal, ScaledIdentity)):
+            d2 = m2.diagonal()
+            z_new = conj_prox(problem.g, z_prev + q / d2, d2)
+        elif cfg.algorithm == "prepdhg_exact":
+            z_new = solve_subproblem_exact(sub, tol=1e-12,
+                                           gamma=resolved.get("gamma"),
+                                           plan=resolved.get("plan"))
+        elif inner == "bcd":
+            z_new, _ = inner_bcd(sub, resolved["plan"], cfg.p)
+        elif inner == "proxgrad":
+            z_new, _ = inner_proxgrad(sub, resolved["gamma"], cfg.p)
+        else:
+            z_new, _ = inner_fista_restart(sub, resolved["gamma"], cfg.p)
+        return x_new, z_new, sub
+
+    return step
+
+
+@pytest.mark.filterwarnings("ignore:zero row sums")
+@pytest.mark.parametrize("algorithm,inner,metrics", [
+    ("pdhg", None, None),
+    ("prepdhg_exact", None, "pock"),
+    ("prepdhg_exact", "bcd", None),
+    ("prepdhg_exact", "fista_restart", None),
+    ("iprepdhg", "bcd", None),
+    ("iprepdhg", "proxgrad", None),
+    ("iprepdhg", "fista_restart", None)])
+def test_run_step_is_the_old_dispatch_byte_for_byte(algorithm, inner, metrics):
+    from pdopt.precond import pock_diagonal
+    prob = _toy_problem(np.random.default_rng(41))
+    m1, m2 = pock_diagonal(prob.A) if metrics == "pock" else (None, None)
+    cfg = SolverConfig(algorithm=algorithm, inner=inner, tau=0.05, p=3,
+                       m1=m1, m2=m2, max_outer=12, tol_residual=None,
+                       monitor_err_ratio=True)
+    got = run(prob, cfg)
+    resolved = validate_config(prob, cfg)
+    resolved["step"] = _old_dispatch_step(prob, cfg, resolved)
+    want = run(prob, cfg, resolved)
+    assert got.trace.csv_text(omit_time=True) == want.trace.csv_text(omit_time=True)
+    assert np.array_equal(got.state.x, want.state.x)
+    assert np.array_equal(got.state.z, want.state.z)
+
+
+def test_run_reaches_the_benchmarks_hooks_at_call_time(monkeypatch):
+    # perfbench/tracing.py wraps these attributes to time the layers of a
+    # solve; a step bound before the wrapping must still call the wrappers
+    from pdopt import problems, prox
+    prob = _toy_problem(np.random.default_rng(42))
+    configs = {name: SolverConfig(algorithm=algorithm, inner=inner, tau=0.01,
+                                  max_outer=7, tol_residual=None)
+               for name, algorithm, inner in (("pdhg", "pdhg", None),
+                                              ("bcd", "iprepdhg", "bcd"))}
+    resolved = {name: validate_config(prob, cfg) for name, cfg in configs.items()}
+    assert isinstance(resolved["bcd"]["plan"], BcdPlan)
+    calls = []
+    for owner, name in ((pdopt.solver, "pdhg_step"),
+                        (pdopt.solver, "prepdhg_x_step"),
+                        (pdopt.solver, "inner_bcd"), (prox, "conj_prox")):
+        def counting(*args, _fn=getattr(owner, name), _name=name, **kw):
+            calls.append(_name)
+            return _fn(*args, **kw)
+        monkeypatch.setattr(owner, name, counting)
+    run(prob, configs["pdhg"], resolved["pdhg"])
+    assert sorted(calls) == ["conj_prox"] * 7 + ["pdhg_step"] * 7
+    calls.clear()
+    run(prob, configs["bcd"], resolved["bcd"])
+    assert sorted(calls) == ["inner_bcd"] * 7 + ["prepdhg_x_step"] * 7
+    assert callable(prob.g.conj_prox_scalar)
+    for name in ("gram_precond", "scaled_identity", "ct_block_precond"):
+        assert callable(getattr(problems, name))
+
+
 _HEAP_PROBE = """
 import ctypes
 import numpy as np
