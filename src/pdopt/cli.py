@@ -297,21 +297,23 @@ def cmd_compare(args):
     # precedence: the --jobs flag, then the config file, then 1
     n_jobs = getattr(args, "jobs", None)
     n_jobs = max(1, n_jobs if n_jobs is not None else cfg.get("jobs", 1))
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            rows = list(pool.map(run_one, jobs))
-    else:
-        rows = [run_one(j) for j in jobs]
-
-    best = {}
-    for i, r in enumerate(rows):
-        if r["status"] == "converged":
-            if (r["method"] not in best
-                    or r["time_s"] < rows[best[r["method"]]]["time_s"]):
-                best[r["method"]] = i
     path = os.path.join(outdir, f"{prefix}_compare.csv")
     try:
+        # opened before any job runs, so a bad path fails fast; run_one
+        # records every job's own error, so an OSError here is the file's
         with open(path, "w") as fh:
+            if n_jobs > 1:
+                with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+                    rows = list(pool.map(run_one, jobs))
+            else:
+                rows = [run_one(j) for j in jobs]
+
+            best = {}
+            for i, r in enumerate(rows):
+                if r["status"] == "converged":
+                    if (r["method"] not in best
+                            or r["time_s"] < rows[best[r["method"]]]["time_s"]):
+                        best[r["method"]] = i
             fh.write("method,params,status,outer_iters,time_s,final_delta,best,error\n")
             for i, r in enumerate(rows):
                 t = "" if r["time_s"] == "" else format(r["time_s"], ".6f")

@@ -9,9 +9,18 @@ conjugates are derived through the generalized Moreau identity
 used inside block-coordinate sweeps (``conj_prox_kernel``, which
 ``conj_prox_scalar`` calls).  Functions are treated as immutable after
 construction: a bound kernel keeps the constants it computed.
+
+The scalar kernels call numpy's ``clip`` ufunc directly, the call
+``np.clip`` makes after its Python dispatch, so results are the same bits.
+``_clip`` below is the one import of that private name.
 """
 
 import numpy as np
+
+try:                                            # numpy >= 2
+    from numpy._core.umath import clip as _clip
+except ImportError:                             # numpy 1.x
+    from numpy.core.umath import clip as _clip
 
 
 class UnsupportedMetricError(ValueError):
@@ -118,9 +127,15 @@ class L1(ProxFunction):
         self.dim = dim
         self.lam = float(lam)
         self.shift = np.zeros(dim) if shift is None else np.asarray(shift, dtype=float).ravel()
+        self._shifted = bool(self.shift.any())
 
     def value(self, x):
-        return self.lam * float(np.sum(np.abs(np.asarray(x) - self.shift)))
+        # abs(x - 0.0) is abs(x) bit for bit (-0.0 and NaN included), so a
+        # zero shift is not subtracted; np.add.reduce is the call np.sum makes
+        w = np.asarray(x, dtype=float)
+        if self._shifted:
+            w = w - self.shift
+        return self.lam * float(np.add.reduce(np.abs(w), axis=None))
 
     def prox_kernel(self, d):
         shift, thr = self.shift, self.lam / _metric(d)
@@ -145,8 +160,12 @@ class L1(ProxFunction):
         # conjugate: <z, shift> + indicator(|z| <= lam)
         lam, ts = self.lam, _times_step(t, self.shift, idx)
         if ts is None:
-            return lambda v: np.clip(v, -lam, lam)
-        return lambda v: np.clip(v - ts, -lam, lam)
+            return lambda v: _clip(v, -lam, lam)
+
+        def kernel(v):
+            w = v - ts
+            return _clip(w, -lam, lam, out=w)
+        return kernel
 
     def conj_residual(self, z, s):
         z = np.asarray(z, dtype=float)

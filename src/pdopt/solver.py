@@ -92,7 +92,6 @@ class SolverConfig:
     m2: Preconditioner = None
     inner: str = None                # proxgrad | fista_restart | bcd
     gamma: float = None
-    ordering: object = None
     p: int = 1
     phi_star: float = None
     tol_delta: float = None
@@ -413,7 +412,10 @@ def _bcd_sweep(sub, plan, z, epochs, at_ref=False):
     segment gathers z_ref and q over its live rows once and forms
     c = z_ref + q/h; block b then sets dz_b = kernel_b(c_b - G_b dz) - z_ref_b
     with dz = z - z_ref, and one scatter writes z back.  From z_ref the
-    first block's product is skipped, since dz is still zero there.
+    first block's product is skipped, since dz is still zero there.  Each
+    difference is written into an array the sweep owns (the gathers, the
+    product's fresh output, dz); addition commutes bit for bit, so the
+    results are those of the plain expressions.
     """
     for seg, kernel, products in zip(plan.segments, plan.bind(sub.g),
                                      plan.products):
@@ -423,15 +425,26 @@ def _bcd_sweep(sub, plan, z, epochs, at_ref=False):
         else:
             _, _, _, idx, inv_h, _ = seg
             z_ref = sub.z_ref[idx]
-            c = z_ref + sub.q[idx] * inv_h
-            dz = np.zeros(idx.size) if at_ref else z[idx] - z_ref
+            c = sub.q[idx]
+            c *= inv_h
+            c += z_ref
+            if at_ref:
+                dz = np.zeros(idx.size)
+            else:
+                dz = z[idx]
+                dz -= z_ref
             skip = at_ref       # G_b @ 0 is +0.0 and c - 0.0 == c bit for bit
             for _ in range(epochs):
                 for (sl, product), block_kernel in zip(products, kernel):
-                    v = c[sl] if skip else c[sl] - product(dz)
-                    skip = False
-                    dz[sl] = block_kernel(v) - z_ref[sl]
-            z[idx] = z_ref + dz
+                    if skip:
+                        v = c[sl]
+                        skip = False
+                    else:
+                        v = product(dz)
+                        np.subtract(c[sl], v, out=v)
+                    np.subtract(block_kernel(v), z_ref[sl], out=dz[sl])
+            dz += z_ref
+            z[idx] = dz
 
 
 def m2_norm_estimate(m2, iters=200, tol=1e-10):
@@ -592,7 +605,8 @@ def prepdhg_x_step(x, z, problem, m1, f_prox=None):
     dividing by ``m1.diagonal()``."""
     if f_prox is None:
         f_prox = problem.f.prox_kernel(m1.diagonal())
-    return f_prox(x - m1.apply_inverse(problem.A.rmatvec(z)))
+    w = m1.apply_inverse(problem.A.rmatvec(z))
+    return f_prox(np.subtract(x, w, out=w))
 
 
 # ---------------------------------------------------------------------------
@@ -697,37 +711,42 @@ def validate_config(problem, config):
     if cfg.algorithm == "iprepdhg" and inner is None:
         inner = "bcd"
     f_prox = _bind_x_prox(problem.f, m1.diagonal())
+    closed_form = (cfg.algorithm == "prepdhg_exact"
+                   and isinstance(m2, (Diagonal, ScaledIdentity)))
     plan = gamma = None
     if inner == "bcd":
-        plan = BcdPlan(problem.A, m2, cfg.ordering)
+        plan = BcdPlan(problem.A, m2)
         try:
             plan.bind(problem.g)
         except _prox.UnsupportedKindError as exc:
             raise ConfigError(f"inner='bcd' needs a scalar conjugate prox: {exc}") from None
-    elif inner in ("proxgrad", "fista_restart", None):
+    elif inner not in ("proxgrad", "fista_restart", None):
+        raise ConfigError(f"unknown inner iterator {inner!r}")
+    elif not closed_form:       # the gradient z-solvers read gamma
         gamma = cfg.gamma
         if gamma is None:
             gamma = 1.0 / max(m2_norm_estimate(m2), 1e-30)
-    else:
-        raise ConfigError(f"unknown inner iterator {inner!r}")
-    z_solve = _z_solver(cfg.algorithm, inner, problem.g, m2, plan, gamma, cfg.p)
+    z_solve = _z_solver(cfg.algorithm, closed_form, inner, problem.g, m2, plan,
+                        gamma, cfg.p)
 
     def step(x, z):
         x_new = prepdhg_x_step(x, z, problem, m1, f_prox)
-        sub = ZSubproblem(z, problem.A.matvec(2.0 * x_new - x), m2, problem.g)
+        t = 2.0 * x_new
+        t -= x
+        sub = ZSubproblem(z, problem.A.matvec(t), m2, problem.g)
         return x_new, z_solve(sub), sub
 
     return {"m1": m1, "m2": m2, "f_prox": f_prox, "plan": plan,
             "gamma": gamma, "step": step}
 
 
-def _z_solver(algorithm, inner, g, m2, plan, gamma, p):
-    """The z-step ``sub -> z_new`` of a preconditioned algorithm."""
+def _z_solver(algorithm, closed_form, inner, g, m2, plan, gamma, p):
+    """The z-step ``sub -> z_new`` of a preconditioned algorithm;
+    ``closed_form`` says it is prepdhg_exact under a diagonal M2."""
+    if closed_form:
+        d2 = m2.diagonal()
+        return lambda sub: _prox.conj_prox(g, sub.z_ref + sub.q / d2, d2)
     if algorithm == "prepdhg_exact":
-        if isinstance(m2, (Diagonal, ScaledIdentity)):
-            # diagonal metric: the z-subproblem has a closed form
-            d2 = m2.diagonal()
-            return lambda sub: _prox.conj_prox(g, sub.z_ref + sub.q / d2, d2)
         return lambda sub: solve_subproblem_exact(sub, gamma=gamma, plan=plan)
     if inner == "bcd":
         return lambda sub: inner_bcd(sub, plan, p)[0]

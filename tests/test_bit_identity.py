@@ -1,0 +1,161 @@
+"""The iPrePDHG iteration's layers against the code they replaced, byte for byte.
+
+The functions below are the BCD sweep, the scalar L1 conjugate prox, the L1
+objective and the preconditioned x-step with the step's ``q``, written out
+as they were before they wrote their differences into arrays they own and
+called the ``clip`` ufunc directly: the oracle for byte-identical results.
+"""
+
+import numpy as np
+import pytest
+
+from pdopt import problems, solver
+from pdopt.prox import L1, _times_step
+from pdopt.solver import (BcdPlan, ZSubproblem, inner_bcd, run,
+                          solve_subproblem_exact, validate_config)
+
+
+def _old_bcd_sweep(sub, plan, z, epochs, at_ref=False):
+    for seg, kernel, products in zip(plan.segments, plan.bind(sub.g),
+                                     plan.products):
+        if seg[0] == "diag":
+            _, lo, hi, e = seg
+            z[lo:hi] = kernel(sub.z_ref[lo:hi] + sub.q[lo:hi] / e)
+        else:
+            _, _, _, idx, inv_h, _ = seg
+            z_ref = sub.z_ref[idx]
+            c = z_ref + sub.q[idx] * inv_h
+            dz = np.zeros(idx.size) if at_ref else z[idx] - z_ref
+            skip = at_ref
+            for _ in range(epochs):
+                for (sl, product), block_kernel in zip(products, kernel):
+                    v = c[sl] if skip else c[sl] - product(dz)
+                    skip = False
+                    dz[sl] = block_kernel(v) - z_ref[sl]
+            z[idx] = z_ref + dz
+
+
+def _old_l1_conj_prox_kernel(self, t, idx):
+    lam, ts = self.lam, _times_step(t, self.shift, idx)
+    if ts is None:
+        return lambda v: np.clip(v, -lam, lam)
+    return lambda v: np.clip(v - ts, -lam, lam)
+
+
+def _old_l1_value(self, x):
+    return self.lam * float(np.sum(np.abs(np.asarray(x) - self.shift)))
+
+
+def _old_prepdhg_x_step(x, z, problem, m1, f_prox=None):
+    if f_prox is None:
+        f_prox = problem.f.prox_kernel(m1.diagonal())
+    return f_prox(x - m1.apply_inverse(problem.A.rmatvec(z)))
+
+
+def _old_step(problem, cfg, resolved):
+    m1, m2, plan = resolved["m1"], resolved["m2"], resolved["plan"]
+    f_prox = resolved["f_prox"]
+
+    def step(x, z):
+        x_new = _old_prepdhg_x_step(x, z, problem, m1, f_prox)
+        sub = ZSubproblem(z, problem.A.matvec(2.0 * x_new - x), m2, problem.g)
+        if cfg.algorithm == "prepdhg_exact":
+            return x_new, solve_subproblem_exact(sub, plan=plan), sub
+        return x_new, inner_bcd(sub, plan, cfg.p)[0], sub
+
+    return step
+
+
+def _instances():
+    """Small instances of the four builders, at iPrePDHG's tau for each."""
+    rng = np.random.default_rng(51)
+    blob = np.exp(-np.arange(8.0) ** 2 / 6.0)
+    R = problems.synth_line_integral_matrix(8, 8, 6, 10, seed=3)
+    yield problems.tvl1(rng.random((9, 10)), lam=1.0), 0.01
+    yield problems.graphcut(rng.random((9, 8, 3))), 0.01
+    yield problems.emd(np.outer(blob, blob), np.outer(blob[::-1], blob)), 0.001
+    yield problems.ct(R, rng.random(R.shape[0]), lam=0.1, rows=8, cols=8,
+                      tau=0.1), 0.1
+
+
+def _edge_values(rng, n):
+    """Random values with +-0.0, +-inf and NaN mixed in."""
+    v = 3.0 * rng.standard_normal(n)
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+    at = rng.choice(n, size=min(n, 3 * edges.size), replace=False)
+    v[at] = np.resize(edges, at.size)
+    return v
+
+
+@pytest.mark.filterwarnings("ignore:zero row sums")
+def test_bcd_sweep_is_the_old_sweep_byte_for_byte(monkeypatch):
+    rng = np.random.default_rng(52)
+    for inst, tau in _instances():
+        cfg = inst.config(algorithm="iprepdhg", inner="bcd", tau=tau)
+        m2 = cfg.m2
+        plan = BcdPlan(inst.problem.A, m2)
+        m = inst.problem.dims[0]
+        for g in (inst.problem.g, L1(m, lam=0.6, shift=rng.standard_normal(m))):
+            z_ref = rng.standard_normal(m)
+            z_ref[rng.random(m) < 0.1] = -0.0
+            sub = ZSubproblem(z_ref, 5.0 * rng.standard_normal(m), m2, g)
+            for p in (1, 2, 3):
+                got = inner_bcd(sub, plan, p)[0]
+                want = sub.z_ref.copy()
+                _old_bcd_sweep(sub, BcdPlan(inst.problem.A, m2), want, p,
+                               at_ref=True)
+                assert got.tobytes() == want.tobytes(), (inst.name, p)
+            # from points other than z_ref: the sweep's not-at-ref path
+            got = [solve_subproblem_exact(sub, tol=tol, max_iter=4, plan=plan)
+                   for tol in (1e-12, 1e-1)]
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_bcd_sweep", _old_bcd_sweep)
+                want = [solve_subproblem_exact(sub, tol=tol, max_iter=4,
+                                               plan=BcdPlan(inst.problem.A, m2))
+                        for tol in (1e-12, 1e-1)]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("shift", ["zero", "negative-zero", "random", "edges"])
+def test_l1_kernel_and_value_are_the_old_ones_byte_for_byte(shift):
+    rng = np.random.default_rng(53)
+    n = 64
+    shifts = {"zero": None, "negative-zero": np.full(n, -0.0),
+              "random": rng.standard_normal(n), "edges": _edge_values(rng, n)}
+    phi = L1(n, lam=0.8, shift=shifts[shift])
+    idx = np.sort(rng.choice(n, size=40, replace=False))
+    for t in (1.7, rng.uniform(0.1, 5.0, idx.size)):
+        v = _edge_values(rng, idx.size)
+        v_bytes = v.tobytes()
+        got = phi.conj_prox_kernel(t, idx)(v)
+        want = _old_l1_conj_prox_kernel(phi, t, idx)(v)
+        assert got.tobytes() == want.tobytes()
+        assert v.tobytes() == v_bytes          # the kernel leaves its input
+    for x in (_edge_values(rng, n), 3.0 * rng.standard_normal(n),
+              np.full(n, -0.0), np.arange(n) - 7):
+        got, want = phi.value(x), _old_l1_value(phi, x)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:zero row sums")
+@pytest.mark.parametrize("algorithm", ["pdhg", "iprepdhg", "prepdhg_exact"])
+def test_solves_are_the_old_code_byte_for_byte(monkeypatch, algorithm):
+    # a trace row per iteration, so every objective value is compared
+    for inst, tau in _instances():
+        max_outer = 4 if algorithm == "prepdhg_exact" else 30
+        inner = None if algorithm == "pdhg" else "bcd"
+        cfg = inst.config(algorithm=algorithm, inner=inner, tau=tau,
+                          max_outer=max_outer, tol_residual=None)
+        got = run(inst.problem, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_bcd_sweep", _old_bcd_sweep)
+            patch.setattr(L1, "conj_prox_kernel", _old_l1_conj_prox_kernel)
+            patch.setattr(L1, "value", _old_l1_value)
+            resolved = validate_config(inst.problem, cfg)
+            if algorithm != "pdhg":
+                resolved["step"] = _old_step(inst.problem, cfg, resolved)
+            want = run(inst.problem, cfg, resolved)
+        assert (got.trace.csv_text(omit_time=True)
+                == want.trace.csv_text(omit_time=True)), inst.name
+        assert got.state.x.tobytes() == want.state.x.tobytes(), inst.name
+        assert got.state.z.tobytes() == want.state.z.tobytes(), inst.name

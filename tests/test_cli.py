@@ -222,12 +222,23 @@ def test_compare_malformed_list_is_validation_error(noisy_pgm, tmp_path,
         f"error: command line: key '{bad.split('=')[0]}' expects a comma-separated")
 
 
-def test_compare_unwritable_csv_is_io_error(noisy_pgm, tmp_path, capsys):
+def test_compare_unwritable_csv_is_io_error(noisy_pgm, tmp_path, monkeypatch,
+                                           capsys):
+    from pdopt import solver
+    calls = []
+    solve = solver.run
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(solver, "run", counting)
     code = main(["compare", "--output", str(tmp_path), "problem=tvl1",
                  f"input={noisy_pgm}", "methods=pdhg,iprepdhg_bcd",
                  "max_outer=5", "prefix=nodir/x"])
     assert code == 4
     assert "cannot write" in capsys.readouterr().err
+    assert calls == []          # the path fails before any solve runs
 
 
 def test_compare_validates_each_row_once(noisy_pgm, tmp_path, monkeypatch,

@@ -299,6 +299,23 @@ def test_bound_kernel_is_the_closed_form_bit_for_bit(kind, seed, scalar_t):
     assert kernel(v).tobytes() == want.tobytes()      # binding is reusable
 
 
+def test_bound_clip_is_numpys_clip_bit_for_bit():
+    # pdopt.prox imports numpy's private clip ufunc in one place; a numpy
+    # release that moves or changes it fails here
+    from pdopt.prox import _clip
+    assert isinstance(_clip, np.ufunc) and _clip.__name__ == "clip"
+    rng = np.random.default_rng(29)
+    v = 3.0 * rng.standard_normal(2048)
+    v[:8] = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -5e-324]
+    for lo, hi in ((-1.0, 1.0), (-0.5, 2.0), (-0.0, 0.0), (0.0, 0.0),
+                   (-np.inf, np.inf), (1.0, 1.0)):
+        want = np.clip(v, lo, hi)
+        assert _clip(v, lo, hi).tobytes() == want.tobytes(), (lo, hi)
+        out = v.copy()
+        assert _clip(out, lo, hi, out=out) is out
+        assert out.tobytes() == want.tobytes(), (lo, hi)
+
+
 def test_kernel_of_unsupported_kind_raises():
     idx = np.arange(2)
     for phi in (BoxIndicator(2), Concat([L1(2), BoxIndicator(2)])):

@@ -779,6 +779,34 @@ def test_pdhg_rejects_bad_stepsizes():
         validate_config(prob, cfg)
 
 
+@pytest.mark.filterwarnings("ignore:zero row sums")
+def test_gamma_is_resolved_only_for_the_z_solvers_that_read_it(monkeypatch):
+    from pdopt.precond import pock_diagonal
+    prob = _toy_problem(np.random.default_rng(28))
+    calls = []
+    estimate = pdopt.solver.m2_norm_estimate
+
+    def counting(m2, *args, **kw):
+        calls.append(m2)
+        return estimate(m2, *args, **kw)
+
+    monkeypatch.setattr(pdopt.solver, "m2_norm_estimate", counting)
+    m1, m2 = pock_diagonal(prob.A)
+    for inner in (None, "fista_restart"):
+        # the closed-form z-step under a diagonal M2 never reads gamma
+        cfg = SolverConfig(algorithm="prepdhg_exact", inner=inner, m1=m1,
+                           m2=m2, tau=0.05)
+        assert validate_config(prob, cfg)["gamma"] is None
+    assert calls == []
+    with pytest.raises(ConfigError, match="gamma"):
+        validate_config(prob, SolverConfig(algorithm="prepdhg_exact", m1=m1,
+                                           m2=m2, tau=0.05, gamma=-1.0))
+    # a Gram M2 and no plan: solve_subproblem_exact runs FISTA at gamma
+    resolved = validate_config(prob, SolverConfig(algorithm="prepdhg_exact",
+                                                  tau=0.05))
+    assert len(calls) == 1 and resolved["gamma"] == 1.0 / estimate(calls[0])
+
+
 @pytest.mark.parametrize("g", [BoxIndicator(72, -1.0, 1.0),
                                Concat([L1(36), BoxIndicator(36)])])
 def test_bcd_rejects_g_without_scalar_conj_prox(g):
