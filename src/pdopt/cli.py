@@ -2,7 +2,8 @@
 
 Configuration is flat key=value, either in a file (one pair per line, `#`
 comments) or as command-line tokens; command-line tokens override the file.
-Exit statuses: 0 success, 2 not converged, 3 validation failure, 4 I/O error.
+Exit statuses: 0 success, 2 not converged, 3 validation failure, 4 I/O error,
+5 diverged (``solve`` stopped at a non-finite iterate).
 """
 
 import argparse
@@ -21,6 +22,7 @@ EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
+EXIT_DIVERGED = 5
 
 
 class CliError(Exception):
@@ -228,7 +230,8 @@ def cmd_solve(args):
     delta = "" if res.final_delta is None else format(res.final_delta, ".6e")
     print(f"status={res.status} outer_iters={res.outer_iters} "
           f"time_s={res.time_s:.4f} final_delta={delta}")
-    return EXIT_OK if res.status == "converged" else EXIT_NOT_CONVERGED
+    return {"converged": EXIT_OK, "diverged": EXIT_DIVERGED}.get(
+        res.status, EXIT_NOT_CONVERGED)
 
 
 # ---------------------------------------------------------------------------

@@ -169,23 +169,21 @@ class Grad2D(LinearOperator):
         return out
 
     def to_sparse(self):
+        # built straight in canonical CSR form: row r of channel 1 holds
+        # -1/h at node r and 1/h at the node below, row r of channel 2 -1/h
+        # at r and 1/h at the node to the right; nodes on the last grid row
+        # (column) leave their channel-1 (channel-2) row empty
         m, n = self.rows, self.cols
-        idx = np.arange(m * n).reshape(m, n)
-        r1 = idx[:-1, :].ravel()
-        d1 = sp.csr_matrix(
-            (np.concatenate([np.full(r1.size, 1.0 / self.h),
-                             np.full(r1.size, -1.0 / self.h)]),
-             (np.concatenate([r1, r1]),
-              np.concatenate([idx[1:, :].ravel(), idx[:-1, :].ravel()]))),
-            shape=(m * n, m * n))
-        r2 = idx[:, :-1].ravel()
-        d2 = sp.csr_matrix(
-            (np.concatenate([np.full(r2.size, 1.0 / self.h),
-                             np.full(r2.size, -1.0 / self.h)]),
-             (np.concatenate([r2, r2]),
-              np.concatenate([idx[:, 1:].ravel(), idx[:, :-1].ravel()]))),
-            shape=(m * n, m * n))
-        return sp.vstack([d1, d2], format="csr")
+        nodes = np.arange(m * n)
+        down = nodes < (m - 1) * n
+        right = nodes % n != n - 1
+        first = np.concatenate([nodes[down], nodes[right]])
+        second = first + np.repeat([n, 1], [np.count_nonzero(down),
+                                            np.count_nonzero(right)])
+        indptr = np.concatenate([[0], np.cumsum(2 * np.concatenate([down, right]))])
+        data = np.tile([-1.0 / self.h, 1.0 / self.h], first.size)
+        return sp.csr_matrix((data, np.column_stack([first, second]).ravel(), indptr),
+                             shape=(2 * m * n, m * n))
 
 
 class WeightedGrad2D(LinearOperator):
@@ -243,9 +241,9 @@ class Div2D(LinearOperator):
 class SparseOp(LinearOperator):
     """Wrapper around a scipy sparse matrix in CSR form.
 
-    The CSR transpose is built once at construction, and both products are
-    bound with ``bind_csr_matvec``: ``rmatvec`` gives the bits of
-    ``mat.T @ z`` (each output sums its terms in row order either way)
+    The CSR transpose ``mat_t`` is built once at construction, and both
+    products are bound with ``bind_csr_matvec``: ``rmatvec`` gives the bits
+    of ``mat.T @ z`` (each output sums its terms in row order either way)
     without building a CSC transpose per call.  Its own copy is canonical
     (sorted, duplicates summed), which ``abs`` or ``power`` leave as it is.
     """
@@ -253,9 +251,10 @@ class SparseOp(LinearOperator):
     def __init__(self, mat):
         self.mat = sp.csr_matrix(mat).astype(float)
         self.mat.sum_duplicates()
+        self.mat_t = self.mat.T.tocsr()
         self.shape = self.mat.shape
         self._forward = bind_csr_matvec(self.mat)
-        self._adjoint = bind_csr_matvec(self.mat.T.tocsr())
+        self._adjoint = bind_csr_matvec(self.mat_t)
 
     def matvec(self, x):
         return self._forward(self._check_forward(x))

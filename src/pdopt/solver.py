@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import prox as _prox
-from .operators import (OrderingError, StackedOp, bind_csr_matvec,
+from .operators import (OrderingError, SparseOp, StackedOp, bind_csr_matvec,
                         power_iteration)
 from .precond import (BlockDiag, Diagonal, Gram, Preconditioner,
                       ScaledIdentity, gram_precond, ordering_for,
@@ -162,7 +162,7 @@ class Trace:
 class RunResult:
     state: IterateState
     trace: Trace
-    status: str                    # converged | not-converged
+    status: str                    # converged | not-converged | diverged
     outer_iters: int
     time_s: float                  # algorithmic seconds; excludes monitoring
     final_delta: float = None
@@ -251,22 +251,35 @@ def _fista_restart(z, grad, obj, conj_prox, gamma, iters, tol=None):
 
 
 class BcdPlan:
-    """Precomputed structure for cyclic block-coordinate sweeps.
+    """Precomputed structure for cyclic block-coordinate sweeps, in plan order.
 
-    Splits the dual space into segments following M2's block structure.  A
-    diagonal segment ``("diag", lo, hi, e)`` is minimized exactly in one
-    shot.  A Gram segment ``("gram", lo, hi, idx, inv_h, blocks)`` lists its
-    live rows colour block by colour block in ``idx`` (global coordinates).
-    Rows with ``h = tau ||a_i||^2 + ridge = 0`` are dead: they are left out
-    of ``idx`` and never touched.  ``inv_h`` is ``1/h`` in the order of
-    ``idx``, and ``blocks`` holds one ``(slice, G_b)`` pair per colour
-    block: ``G_b`` is the block's rows of ``A A^T`` with the self-coupling
-    removed, scaled row-wise by ``tau/h``, with columns in the order of
-    ``idx``.  Building ``G_b`` also checks the ordering: an off-diagonal
-    entry of ``A A^T`` inside a block raises OrderingError.  ``products``
-    holds, per segment, ``None`` for a diagonal one and, for a Gram one,
-    one ``(slice, v -> G_b @ v)`` pair per colour block with the product
-    bound once (``bind_csr_matvec``).
+    Splits the dual space into segments following M2's block structure and
+    fixes the plan order of the dual coordinates: ``order[i]`` is the row of
+    A at plan position ``i``.  Each segment keeps its row range ``lo:hi``;
+    inside a Gram segment the order is the live rows colour block by colour
+    block, then the dead rows.  ``permute(v)`` takes a dual vector from A's
+    row order into plan order and ``unpermute`` takes it back.  ``op`` is a
+    ``SparseOp`` of A's rows in plan order, so ``op.matvec(x)`` is
+    ``permute(A.matvec(x))`` and ``op.rmatvec(permute(z))`` is
+    ``A.rmatvec(z)``, both up to rounding: a run that sweeps the plan keeps
+    its dual iterate in plan order and pairs it with ``op``.
+
+    A diagonal segment ``("diag", lo, hi, e)`` is minimized exactly in one
+    shot.  A Gram segment ``("gram", lo, hi, idx, inv_h, blocks)`` has its
+    live rows at plan positions ``lo:lo + idx.size``, one contiguous range;
+    ``idx`` lists the rows of A they hold.  Rows with
+    ``h = tau ||a_i||^2 + ridge = 0`` are dead: they come last in the
+    segment and are never touched.  ``inv_h`` is ``1/h`` over the live
+    range, and ``blocks`` holds one ``(slice, G_b)`` pair per colour block,
+    the slice relative to the live range: ``G_b`` is the block's rows of
+    ``A A^T`` with the self-coupling removed, scaled row-wise by ``tau/h``,
+    with columns over the live range.  The ``G_b`` are row slices of one
+    product of the segment's rows in plan order with their transpose (the
+    arrays of ``op`` when the Gram operator is A itself).  Building them also
+    checks the ordering: an off-diagonal entry of ``A A^T`` inside a block
+    raises OrderingError.  ``products`` holds, per segment, ``None`` for a
+    diagonal one and, for a Gram one, one ``(slice, v -> G_b @ v)`` pair per
+    colour block with the product bound once (``bind_csr_matvec``).
 
     ``bind(g)`` gives every diagonal segment and every colour block its
     scalar conjugate prox of ``g`` at the block's fixed step (``1/e`` or
@@ -279,85 +292,121 @@ class BcdPlan:
     """
 
     def __init__(self, A, m2, ordering=None):
-        self.segments = []
         self.g = self.kernels = None
-        if isinstance(m2, (Diagonal, ScaledIdentity)):
-            self.segments.append(("diag", 0, m2.dim, m2.diagonal()))
-            self.num_blocks = 1
-        elif isinstance(m2, Gram):
-            ordering = ordering if ordering is not None else ordering_for(m2.A)
-            self.segments.append(self._gram_segment(0, m2.A, m2.tau, m2.ridge,
-                                                    ordering.blocks))
-            self.num_blocks = ordering.num_blocks
+        if isinstance(m2, (Diagonal, ScaledIdentity, Gram)):
+            parts = [(0, m2.dim, m2)]
         elif isinstance(m2, BlockDiag) and isinstance(A, StackedOp):
-            if len(m2.parts) != len(A.ops):
+            parts = list(zip(A.row_offsets, A.row_offsets[1:], m2.parts))
+            if len(m2.parts) != len(A.ops) or any(
+                    part.dim != hi - lo for lo, hi, part in parts):
                 raise ConfigError("block preconditioner does not match stacked operator")
-            nblocks = 0
-            for part, op, lo, hi in zip(m2.parts, A.ops, A.row_offsets,
-                                        A.row_offsets[1:]):
-                lo, hi = int(lo), int(hi)
-                if isinstance(part, (Diagonal, ScaledIdentity)):
-                    self.segments.append(("diag", lo, hi, part.diagonal()))
-                    nblocks += 1
-                elif isinstance(part, Gram):
-                    sub_ord = ordering_for(part.A)
-                    self.segments.append(self._gram_segment(
-                        lo, part.A, part.tau, part.ridge, sub_ord.blocks))
-                    nblocks += sub_ord.num_blocks
-                else:
-                    raise ConfigError(
-                        f"unsupported M2 block {type(part).__name__} for BCD")
-            self.num_blocks = nblocks
         else:
             raise ConfigError(
                 "BCD needs M2 in Gram form or a block-diagonal composite over "
                 "a stacked operator")
+        mat = A.to_sparse().tocsr()
+        layouts, orders = [], []
+        self.num_blocks = 0
+        for lo, hi, part in parts:
+            lo, hi = int(lo), int(hi)
+            if isinstance(part, (Diagonal, ScaledIdentity)):
+                layouts.append(("diag", lo, hi, part.diagonal()))
+                orders.append(np.arange(lo, hi))
+                self.num_blocks += 1
+            elif isinstance(part, Gram):
+                blocks = (ordering if ordering is not None and part is m2
+                          else ordering_for(part.A)).blocks
+                # the rows of a Gram operator other than A itself, else None
+                own = None if part.A is A else part.A.to_sparse().tocsr()
+                layout = self._gram_layout(mat if own is None else own,
+                                           part.tau, part.ridge, blocks)
+                layouts.append(("gram", lo, part.tau, None if own is None
+                                else own[layout[0]], layout))
+                orders.append(lo + layout[0])
+                self.num_blocks += len(blocks)
+            else:
+                raise ConfigError(
+                    f"unsupported M2 block {type(part).__name__} for BCD")
+        self.order = np.concatenate(orders)
+        self.op = SparseOp(mat[self.order])
+        del mat
+        self.segments = [seg if seg[0] == "diag" else
+                         self._gram_segment(*seg[1:]) for seg in layouts]
         self.products = [None if seg[0] == "diag" else
                          [(sl, bind_csr_matvec(g_b)) for sl, g_b in seg[5]]
                          for seg in self.segments]
 
     @staticmethod
-    def _gram_segment(lo, op, tau, ridge, blocks):
-        """Gram rows per colour block, built one block at a time from A and
-        A^T only, with column indices remapped to the block-contiguous order."""
-        mat = op.to_sparse().tocsr()
+    def _gram_layout(mat, tau, ridge, blocks):
+        """(order, d, h, block sizes) of one Gram segment: its rows in plan
+        order (live rows block by block, then the dead ones), ``||a_i||^2``
+        and h over them, and the number of live rows of each colour block."""
         m = mat.shape[0]
         if sum(b.size for b in blocks) != m:
             raise OrderingError("ordering does not partition the operator's row space")
-        mat_t = mat.T.tocsr()
         d = mat.power(2) @ np.ones(mat.shape[1])        # ||a_i||^2
         h = tau * d + ridge
         live_blocks = [blk[h[blk] > 0] for blk in blocks]
-        order = np.concatenate(live_blocks)
-        n_live = order.size
-        pos = np.full(m, -1, dtype=mat_t.indices.dtype)  # dead rows stay -1
-        pos[order] = np.arange(n_live)
-        per_block = []
+        order = np.concatenate(live_blocks + [np.flatnonzero(~(h > 0))])
+        return order, d[order], h[order], [rows.size for rows in live_blocks]
+
+    def _gram_segment(self, lo, tau, rows, layout):
+        """The segment's Gram rows per colour block, as row slices of one
+        product of its rows in plan order (``op``'s when ``rows`` is None)
+        with their transpose."""
+        order, d, h, sizes = layout
+        n_live = sum(sizes)
+        if rows is None:
+            rows, rows_t = self.op.mat, self.op.mat_t
+        else:
+            rows_t = rows.T.tocsr()
+        gram = rows @ rows_t                        # rows of A A^T, plan order
+        indptr, cols, data = gram.indptr, gram.indices, gram.data
+        spans = []
         start = 0
-        for rows in live_blocks:
-            if rows.size == 0:
+        for size in sizes:
+            if size == 0:
                 continue
-            stop = start + rows.size
-            gram = mat[rows] @ mat_t                # rows of A A^T
-            counts = np.diff(gram.indptr)
-            cols = pos[gram.indices]
-            inside = (cols >= start) & (cols < stop)
+            stop = start + size
+            a, b = indptr[start], indptr[stop]
+            block_cols = cols[a:b]
+            inside = (block_cols >= start) & (block_cols < stop)
             # row i holds its diagonal entry iff d_i != 0 (same sum, and the
             # product drops exact zeros); any other entry inside the block
             # is a coupling the ordering must not have
-            if np.count_nonzero(inside) != np.count_nonzero(d[rows]):
+            if np.count_nonzero(inside) != np.count_nonzero(d[start:stop]):
                 raise OrderingError(
                     "within-block columns of A^T are not mutually orthogonal")
-            data = gram.data * np.repeat(tau / h[rows], counts)
-            drop = inside | (cols < 0)              # self-coupling, dead columns
-            data[drop] = 0.0
-            cols[drop] = 0
-            g_b = sp.csr_matrix((data, cols, gram.indptr),
-                                shape=(rows.size, n_live))
-            g_b.eliminate_zeros()
-            per_block.append((slice(start, stop), g_b))
+            block_data = data[a:b]
+            block_data *= np.repeat(tau / h[start:stop], np.diff(indptr[start:stop + 1]))
+            block_data[inside | (block_cols >= n_live)] = 0.0   # self, dead columns
+            spans.append((start, stop))
             start = stop
-        return ("gram", lo, lo + m, lo + order, 1.0 / h[order], per_block)
+        gram.eliminate_zeros()
+        indptr, cols, data = gram.indptr, gram.indices, gram.data
+        blocks = []
+        for start, stop in spans:
+            a, b = indptr[start], indptr[stop]
+            blocks.append((slice(start, stop), sp.csr_matrix(
+                (data[a:b], cols[a:b], indptr[start:stop + 1] - a),
+                shape=(stop - start, n_live))))
+        return ("gram", lo, lo + order.size, self.order[lo:lo + n_live],
+                1.0 / h[:n_live], blocks)
+
+    def permute(self, v):
+        """The dual vector ``v`` (A's row order) in plan order."""
+        return v[self.order]
+
+    def unpermute(self, v):
+        """The plan-order dual vector ``v`` back in A's row order."""
+        out = np.empty_like(v)
+        out[self.order] = v
+        return out
+
+    def subproblem(self, sub):
+        """``sub`` in plan order.  It carries no metric: M2 acts in A's row
+        order, and the sweep reads only ``z_ref``, ``q`` and ``g``."""
+        return ZSubproblem(self.permute(sub.z_ref), self.permute(sub.q), None, sub.g)
 
     def bind(self, g):
         """The per-segment kernels of ``g``: one for a diagonal segment, a
@@ -377,43 +426,57 @@ class BcdPlan:
         return self.kernels
 
 
-def inner_bcd(sub, plan, p):
-    """p epochs of cyclic proximal BCD; each block update is an exact closed form."""
+def inner_bcd(sub, plan, p, plan_order=False):
+    """p epochs of cyclic proximal BCD; each block update is an exact closed form.
+
+    ``sub`` and the returned z are in A's row order, permuted into the
+    plan's order for the sweep and back; with ``plan_order`` they are in
+    plan order already, as ``run()`` keeps them.
+    """
     if p < 1:
         raise ConfigError("p must be >= 1")
+    if not plan_order:
+        sub = plan.subproblem(sub)
     z = sub.z_ref.copy()
     _bcd_sweep(sub, plan, z, p, at_ref=True)
-    return z, p
+    return (z if plan_order else plan.unpermute(z)), p
 
 
-def solve_subproblem_exact(sub, tol=EXACT_TOL, max_iter=200000, gamma=None, plan=None):
+def solve_subproblem_exact(sub, tol=EXACT_TOL, max_iter=200000, gamma=None,
+                           plan=None, plan_order=False):
     """Iterate an inner solver (BCD epochs under a ``plan``, else FISTA with
     restart) until the step norm falls below tol: an "exact" solve for
-    equivalence oracles and the reference engine."""
+    equivalence oracles and the reference engine.  Under a plan, ``sub``
+    and the result are in A's row order, or with ``plan_order`` in the
+    plan's (see ``inner_bcd``)."""
     if plan is None:
         if gamma is None:
             gamma = 1.0 / max(m2_norm_estimate(sub.m2), 1e-30)
         return _fista_restart(sub.z_ref, sub.grad_quad, sub.objective,
                               _conj_prox_at(sub.g, gamma), gamma, max_iter, tol)
+    if not plan_order:
+        sub = plan.subproblem(sub)
     z = sub.z_ref
     for _ in range(max_iter):
         z_new = z.copy()
         _bcd_sweep(sub, plan, z_new, 1)
-        if _small_step(z_new, z, tol):
-            return z_new
+        done = _small_step(z_new, z, tol)
         z = z_new
-    return z
+        if done:
+            break
+    return z if plan_order else plan.unpermute(z)
 
 
 def _bcd_sweep(sub, plan, z, epochs, at_ref=False):
-    """`epochs` in-place BCD epochs over z; ``at_ref`` says z equals z_ref.
+    """`epochs` in-place BCD epochs over z; ``sub`` and z are in plan order,
+    and ``at_ref`` says z equals z_ref.
 
     A diagonal segment does not depend on z, so it is solved once.  A Gram
-    segment gathers z_ref and q over its live rows once and forms
+    segment reads z_ref and q over its live range as views and forms
     c = z_ref + q/h; block b then sets dz_b = kernel_b(c_b - G_b dz) - z_ref_b
-    with dz = z - z_ref, and one scatter writes z back.  From z_ref the
-    first block's product is skipped, since dz is still zero there.  Each
-    difference is written into an array the sweep owns (the gathers, the
+    with dz = z - z_ref, and z_ref + dz is written into the live range of z.
+    From z_ref the first block's product is skipped, since dz is still zero
+    there.  Each difference is written into an array the sweep owns (c, the
     product's fresh output, dz); addition commutes bit for bit, so the
     results are those of the plain expressions.
     """
@@ -423,16 +486,12 @@ def _bcd_sweep(sub, plan, z, epochs, at_ref=False):
             _, lo, hi, e = seg
             z[lo:hi] = kernel(sub.z_ref[lo:hi] + sub.q[lo:hi] / e)
         else:
-            _, _, _, idx, inv_h, _ = seg
-            z_ref = sub.z_ref[idx]
-            c = sub.q[idx]
-            c *= inv_h
+            _, lo, _, idx, inv_h, _ = seg
+            live = slice(lo, lo + idx.size)
+            z_ref = sub.z_ref[live]
+            c = sub.q[live] * inv_h
             c += z_ref
-            if at_ref:
-                dz = np.zeros(idx.size)
-            else:
-                dz = z[idx]
-                dz -= z_ref
+            dz = np.zeros(idx.size) if at_ref else z[live] - z_ref
             skip = at_ref       # G_b @ 0 is +0.0 and c - 0.0 == c bit for bit
             for _ in range(epochs):
                 for (sl, product), block_kernel in zip(products, kernel):
@@ -443,8 +502,7 @@ def _bcd_sweep(sub, plan, z, epochs, at_ref=False):
                         v = product(dz)
                         np.subtract(c[sl], v, out=v)
                     np.subtract(block_kernel(v), z_ref[sl], out=dz[sl])
-            dz += z_ref
-            z[idx] = dz
+            np.add(dz, z_ref, out=z[live])
 
 
 def m2_norm_estimate(m2, iters=200, tol=1e-10):
@@ -597,15 +655,18 @@ def pdhg_step(x, z, problem, tau, sigma, f_prox=None):
     return x_new, z_new
 
 
-def prepdhg_x_step(x, z, problem, m1, f_prox=None):
+def prepdhg_x_step(x, z, problem, m1, f_prox=None, A=None):
     """Exact x-subproblem: a diagonal-metric prox of f.  ``f_prox`` is
     ``f.prox_kernel(m1.diagonal())``, which ``validate_config`` binds once
-    per run; it is bound here if not given.  ``m1.apply_inverse`` divides by
-    the diagonal (a scalar for a scaled identity), the same quotients as
-    dividing by ``m1.diagonal()``."""
+    per run; it is bound here if not given.  ``A`` is the operator z is
+    paired with: ``problem.A``, or a ``BcdPlan``'s ``op`` when z is in plan
+    order.  ``m1.apply_inverse`` divides by the diagonal (a scalar for a
+    scaled identity), the same quotients as dividing by ``m1.diagonal()``."""
     if f_prox is None:
         f_prox = problem.f.prox_kernel(m1.diagonal())
-    w = m1.apply_inverse(problem.A.rmatvec(z))
+    if A is None:
+        A = problem.A
+    w = m1.apply_inverse(A.rmatvec(z))
     return f_prox(np.subtract(x, w, out=w))
 
 
@@ -665,8 +726,12 @@ def validate_config(problem, config):
     steps of ``inner_bcd``, ``inner_proxgrad`` or ``inner_fista_restart``,
     looked up in this module when called.  Also ``f_prox``, the x-step prox
     of ``f`` bound at ``1/tau`` or ``m1``'s diagonal; ``sigma`` (pdhg), else
-    ``m1``, ``m2``, a bound ``plan`` (bcd) or ``gamma``, None if unused.
-    Raises ConfigError for a configuration that cannot run.
+    ``m1``, ``m2``, ``plan`` and ``gamma``, None where the z-solver does not
+    read them.  ``plan`` is the bound ``BcdPlan`` of a z-step that sweeps
+    one (iprepdhg with bcd, prepdhg_exact with bcd under a non-diagonal
+    M2); that step takes and returns z in the plan's order (``plan.order``)
+    and pairs it with ``plan.op``, and ``run()`` permutes z at the edges of
+    the run.  Raises ConfigError for a configuration that cannot run.
     """
     m, n = problem.dims
     cfg = config
@@ -710,30 +775,34 @@ def validate_config(problem, config):
     inner = cfg.inner
     if cfg.algorithm == "iprepdhg" and inner is None:
         inner = "bcd"
+    if inner not in ("bcd", "proxgrad", "fista_restart", None):
+        raise ConfigError(f"unknown inner iterator {inner!r}")
     f_prox = _bind_x_prox(problem.f, m1.diagonal())
     closed_form = (cfg.algorithm == "prepdhg_exact"
                    and isinstance(m2, (Diagonal, ScaledIdentity)))
     plan = gamma = None
-    if inner == "bcd":
+    if closed_form:
+        pass                    # reads neither a plan nor gamma
+    elif inner == "bcd":
         plan = BcdPlan(problem.A, m2)
         try:
             plan.bind(problem.g)
         except _prox.UnsupportedKindError as exc:
             raise ConfigError(f"inner='bcd' needs a scalar conjugate prox: {exc}") from None
-    elif inner not in ("proxgrad", "fista_restart", None):
-        raise ConfigError(f"unknown inner iterator {inner!r}")
-    elif not closed_form:       # the gradient z-solvers read gamma
+    else:                       # the gradient z-solvers read gamma
         gamma = cfg.gamma
         if gamma is None:
             gamma = 1.0 / max(m2_norm_estimate(m2), 1e-30)
     z_solve = _z_solver(cfg.algorithm, closed_form, inner, problem.g, m2, plan,
                         gamma, cfg.p)
+    # a z-step that sweeps a plan works in its order, where M2 does not act
+    A, sub_m2 = (problem.A, m2) if plan is None else (plan.op, None)
 
     def step(x, z):
-        x_new = prepdhg_x_step(x, z, problem, m1, f_prox)
+        x_new = prepdhg_x_step(x, z, problem, m1, f_prox, A)
         t = 2.0 * x_new
         t -= x
-        sub = ZSubproblem(z, problem.A.matvec(t), m2, problem.g)
+        sub = ZSubproblem(z, A.matvec(t), sub_m2, problem.g)
         return x_new, z_solve(sub), sub
 
     return {"m1": m1, "m2": m2, "f_prox": f_prox, "plan": plan,
@@ -742,14 +811,16 @@ def validate_config(problem, config):
 
 def _z_solver(algorithm, closed_form, inner, g, m2, plan, gamma, p):
     """The z-step ``sub -> z_new`` of a preconditioned algorithm;
-    ``closed_form`` says it is prepdhg_exact under a diagonal M2."""
+    ``closed_form`` says it is prepdhg_exact under a diagonal M2.  Under a
+    plan, ``sub`` and z_new are in plan order."""
     if closed_form:
         d2 = m2.diagonal()
         return lambda sub: _prox.conj_prox(g, sub.z_ref + sub.q / d2, d2)
     if algorithm == "prepdhg_exact":
-        return lambda sub: solve_subproblem_exact(sub, gamma=gamma, plan=plan)
+        return lambda sub: solve_subproblem_exact(sub, gamma=gamma, plan=plan,
+                                                  plan_order=plan is not None)
     if inner == "bcd":
-        return lambda sub: inner_bcd(sub, plan, p)[0]
+        return lambda sub: inner_bcd(sub, plan, p, plan_order=True)[0]
     if inner == "proxgrad":
         return lambda sub: inner_proxgrad(sub, gamma, p)[0]
     return lambda sub: inner_fista_restart(sub, gamma, p)[0]
@@ -760,7 +831,17 @@ def run(problem, config, resolved=None):
 
     ``resolved`` is what ``validate_config(problem, config)`` returned, for a
     caller that has already validated; without it the config is validated
-    here.
+    here.  When the z-step sweeps a BCD plan, z stays in the plan's order
+    for the whole loop: ``z0`` is permuted into it on the way in, and
+    ``state.z`` and ``sum_z`` back out of it on the way out; the err-ratio
+    and Lyapunov monitors, when on, get z in A's row order.  ``phi`` and
+    the feasibility monitor read only x.
+
+    The run stops with status ``diverged`` when a monitored scalar shows a
+    non-finite iterate: ``dz_norm`` not finite, or ``phi`` NaN (an infinite
+    ``phi`` can be an indicator's value at a finite iterate).  Both are
+    computed at the log cadence or for a stop rule, so the check costs no
+    extra work.
     """
     _fix_heap_thresholds()
     cfg = config
@@ -769,6 +850,9 @@ def run(problem, config, resolved=None):
     m, n = problem.dims
     x = np.zeros(n) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float).copy()
     z = np.zeros(m) if cfg.z0 is None else np.asarray(cfg.z0, dtype=float).copy()
+    plan = resolved.get("plan")
+    if plan is not None:
+        z = plan.permute(z)
     state = IterateState(x=x, z=z, sum_x=np.zeros(n), sum_z=np.zeros(m))
     trace = Trace()
     step = resolved["step"]
@@ -777,6 +861,9 @@ def run(problem, config, resolved=None):
     final_delta = None
     elapsed = 0.0
     monitor_s = 0.0
+
+    def in_rows(v):
+        return v if plan is None else plan.unpermute(v)
 
     for k in range(1, cfg.max_outer + 1):
         tic = time.perf_counter()
@@ -789,14 +876,18 @@ def run(problem, config, resolved=None):
 
         err_ratio = None
         if cfg.monitor_err_ratio and sub is not None:
+            if plan is not None:        # the monitor reads A's row order
+                sub = ZSubproblem(in_rows(z_prev), in_rows(sub.q),
+                                  resolved["m2"], problem.g)
             try:
-                _, err_ratio = relative_error_residual(z_prev, z_new, sub)
+                _, err_ratio = relative_error_residual(sub.z_ref, in_rows(z_new), sub)
             except _prox.UnsupportedKindError:
                 err_ratio = None
         lyap = None
         if cfg.monitor_lyapunov and m1 is not None:
-            y, u = dual_transform(x_new, x_prev, z_prev, m1, problem.A)
-            lyap = lyapunov(z_prev, y, u, m1, problem)
+            z_prev_rows = in_rows(z_prev)
+            y, u = dual_transform(x_new, x_prev, z_prev_rows, m1, problem.A)
+            lyap = lyapunov(z_prev_rows, y, u, m1, problem)
         elapsed += time.perf_counter() - tic
 
         # monitoring: each quantity only when a log row or a stop rule reads it
@@ -824,16 +915,22 @@ def run(problem, config, resolved=None):
             feas = problem.feasibility(x_new) if problem.feasibility else None
             trace.add(k=k, obj=obj, delta=delta, feas=feas, dz_norm=dz_norm,
                       err_ratio=err_ratio, lyapunov=lyap, time_s=elapsed)
+        diverged = ((dz_norm is not None and not math.isfinite(dz_norm))
+                    or (obj is not None and math.isnan(obj)))
         stop_delta = (cfg.tol_delta is not None and delta is not None
                       and delta < cfg.tol_delta)
         monitor_s += time.perf_counter() - tic
 
+        if diverged:
+            status = "diverged"
+            break
         if stop_delta or stop_residual:
             status = "converged"
             break
         if stop_time:
             break
 
+    state.z, state.sum_z = in_rows(state.z), in_rows(state.sum_z)
     return RunResult(state=state, trace=trace, status=status,
                      outer_iters=state.k, time_s=elapsed,
                      final_delta=final_delta, monitor_s=monitor_s)

@@ -343,3 +343,18 @@ def test_oracle_command(noisy_pgm, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "phi_star=" in out and "certified=True" in out
     assert os.path.exists(os.path.join(tmp_path, "o_oracle_solution.csv"))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_solve_diverged_exit_code(tmp_path, capsys):
+    blob = np.exp(-np.arange(8.0) ** 2 / 6.0)
+    p0, p1 = str(tmp_path / "r0.csv"), str(tmp_path / "r1.csv")
+    gridio.save_grid_csv(p0, np.outer(blob, blob))
+    gridio.save_grid_csv(p1, np.outer(blob[::-1], blob))
+    code = main(["solve", "--output", str(tmp_path), "problem=emd",
+                 f"input={p0}", f"input2={p1}", "algorithm=iprepdhg",
+                 "inner=proxgrad", "gamma=1000", "max_outer=3000"])
+    assert code == 5
+    out = capsys.readouterr().out
+    assert "status=diverged" in out
+    assert int(out.split("outer_iters=")[1].split()[0]) < 100

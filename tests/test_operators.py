@@ -390,3 +390,62 @@ def test_sparse_op_adjoint_builds_no_transpose_per_call(monkeypatch):
     monkeypatch.setattr(sp.csr_matrix, "transpose", no_transpose)
     for _ in range(3):
         assert op.rmatvec(z).tobytes() == want.tobytes()
+
+
+def _adjoint_gap(op, x, z):
+    """|<A x, z> - <x, A^T z>| over the Cauchy-Schwarz scale of both sides."""
+    ax, atz = op.matvec(x), op.rmatvec(z)
+    scale = max(np.linalg.norm(ax) * np.linalg.norm(z),
+                np.linalg.norm(x) * np.linalg.norm(atz))
+    gap = abs(float(ax @ z) - float(x @ atz))
+    return 0.0 if gap == 0.0 else gap / scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["grad", "div", "weighted", "sparse", "stacked"]),
+       rows=st.integers(1, 9), cols=st.integers(1, 9),
+       h=st.sampled_from([1.0, 0.37, 63.75]), seed=st.integers(0, 2 ** 32 - 1))
+def test_adjoints_hold_to_rounding(kind, rows, cols, h, seed):
+    # <A x, z> == <x, A^T z> to 1e-12 relative, for every operator kind
+    rng = np.random.default_rng(seed)
+    n = rows * cols
+
+    def sparse():
+        return SparseOp(sp.random(int(rng.integers(1, 12)), n, density=0.4,
+                                  random_state=rng, format="csr"))
+
+    op = {"grad": lambda: Grad2D(rows, cols, h),
+          "div": lambda: Div2D(rows, cols, h),
+          "weighted": lambda: WeightedGrad2D(rows, cols,
+                                             rng.uniform(0.1, 3.0, 2 * n), h),
+          "sparse": sparse,
+          "stacked": lambda: StackedOp([sparse(), Grad2D(rows, cols, h)])}[kind]()
+    for _ in range(3):
+        x = rng.standard_normal(op.shape[1])
+        z = rng.standard_normal(op.shape[0])
+        assert _adjoint_gap(op, x, z) <= 1e-12
+
+
+def _coo_built_grad(rows, cols, h):
+    """Grad2D's matrix as it was built before: two COO blocks and a vstack."""
+    idx = np.arange(rows * cols).reshape(rows, cols)
+    blocks = []
+    for lo, hi in ((idx[:-1, :], idx[1:, :]), (idx[:, :-1], idx[:, 1:])):
+        r = lo.ravel()
+        blocks.append(sp.csr_matrix(
+            (np.concatenate([np.full(r.size, 1.0 / h), np.full(r.size, -1.0 / h)]),
+             (np.concatenate([r, r]), np.concatenate([hi.ravel(), r]))),
+            shape=(rows * cols, rows * cols)))
+    return sp.vstack(blocks, format="csr")
+
+
+@pytest.mark.parametrize("h", [1.0, 0.37, 63.75])
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 6), (5, 1), (2, 2), (4, 7), (64, 64)])
+def test_grad2d_to_sparse_is_the_coo_built_matrix(rows, cols, h):
+    # the same canonical CSR arrays, bit for bit, as the COO construction
+    got, want = Grad2D(rows, cols, h).to_sparse(), _coo_built_grad(rows, cols, h)
+    assert got.format == "csr" and got.shape == want.shape
+    assert got.has_canonical_format
+    assert got.indptr.tobytes() == want.indptr.tobytes()
+    assert got.indices.tobytes() == want.indices.tobytes()
+    assert got.data.tobytes() == want.data.tobytes()

@@ -331,14 +331,17 @@ def _old_solve_exact(sub, tol, max_iter, gamma=None, plan=None):
         if gamma is None:
             gamma = 1.0 / max(pdopt.solver.m2_norm_estimate(sub.m2), 1e-30)
         d = np.full(sub.g.dim, 1.0 / gamma)
+    else:
+        plan_sub = plan.subproblem(sub)
     z = sub.z_ref
     y = z
     t = 1.0
     f_prev = sub.objective(z)
     for _ in range(max_iter):
-        if plan is not None:
-            z_new = z.copy()
-            pdopt.solver._bcd_sweep(sub, plan, z_new, 1)
+        if plan is not None:        # one epoch; the sweep runs in plan order
+            z_new = plan.permute(z)
+            pdopt.solver._bcd_sweep(plan_sub, plan, z_new, 1)
+            z_new = plan.unpermute(z_new)
         else:
             z_new = conj_prox(sub.g, y - gamma * sub.grad_quad(y), d)
             f_new = sub.objective(z_new)
@@ -1104,11 +1107,27 @@ def test_run_step_is_the_old_dispatch_byte_for_byte(algorithm, inner, metrics):
                        monitor_err_ratio=True)
     got = run(prob, cfg)
     resolved = validate_config(prob, cfg)
-    resolved["step"] = _old_dispatch_step(prob, cfg, resolved)
-    want = run(prob, cfg, resolved)
-    assert got.trace.csv_text(omit_time=True) == want.trace.csv_text(omit_time=True)
-    assert np.array_equal(got.state.x, want.state.x)
-    assert np.array_equal(got.state.z, want.state.z)
+    # the old dispatch kept z in A's row order and called the grid stencils
+    old = {**resolved, "plan": None,
+           "step": _old_dispatch_step(prob, cfg, resolved)}
+    want = run(prob, cfg, old)
+    if inner != "bcd":
+        assert (got.trace.csv_text(omit_time=True)
+                == want.trace.csv_text(omit_time=True))
+        assert np.array_equal(got.state.x, want.state.x)
+        assert np.array_equal(got.state.z, want.state.z)
+        return
+    # a BCD run keeps z in plan order and pairs it with a CSR of A, whose
+    # products sum in another order than the stencils: equal to 1e-12
+    # (the exact solve's error ratios sit at 1e-13, its rounding floor)
+    assert got.trace.column("k") == want.trace.column("k")
+    np.testing.assert_allclose(got.trace.column("obj"),
+                               want.trace.column("obj"), rtol=1e-12)
+    np.testing.assert_allclose(got.trace.column("err_ratio"),
+                               want.trace.column("err_ratio"),
+                               rtol=1e-12, atol=1e-12)
+    for a, b in ((got.state.x, want.state.x), (got.state.z, want.state.z)):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 def test_run_reaches_the_benchmarks_hooks_at_call_time(monkeypatch):
@@ -1182,3 +1201,121 @@ def test_run_keeps_arrays_below_32mb_on_a_mapped_heap():
     out = subprocess.run([sys.executable, "-c", _HEAP_PROBE], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["0", "True", "True"]
+
+
+def _small_instance(builder, rows, cols, rng):
+    """A small instance of one of the four builders, at iPrePDHG's tau."""
+    from pdopt import problems
+    if builder == "tvl1":
+        return problems.tvl1(rng.random((rows, cols)), lam=1.0), 0.01
+    if builder == "graphcut":
+        return problems.graphcut(rng.random((rows, cols, 3))), 0.01
+    if builder == "emd":
+        rho0 = rng.random((rows, cols)) + 0.1
+        return problems.emd(rho0, rho0[::-1]), 0.001      # equal masses
+    R = problems.synth_line_integral_matrix(rows, cols, 3, 5, seed=1)
+    return problems.ct(R, rng.random(R.shape[0]), lam=0.1, rows=rows,
+                       cols=cols, tau=0.1), 0.1
+
+
+@pytest.mark.filterwarnings("ignore:zero row sums")
+@settings(max_examples=40, deadline=None)
+@given(builder=st.sampled_from(["tvl1", "graphcut", "emd", "ct"]),
+       rows=st.integers(2, 7), cols=st.integers(2, 7),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_plan_order_is_a_permutation_of_a_s_rows(builder, rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    inst, tau = _small_instance(builder, rows, cols, rng)
+    A = inst.problem.A
+    cfg = inst.config(algorithm="iprepdhg", inner="bcd", tau=tau)
+    plan = validate_config(inst.problem, cfg)["plan"]
+    m, n = A.shape
+    assert np.array_equal(np.sort(plan.order), np.arange(m))
+    z = rng.standard_normal(m)
+    z[rng.random(m) < 0.2] = -0.0
+    assert plan.unpermute(plan.permute(z)).tobytes() == z.tobytes()
+    assert plan.permute(plan.unpermute(z)).tobytes() == z.tobytes()
+    # each Gram segment: live rows block by block at lo:lo + idx.size, then
+    # the rows with ||a_i|| = 0
+    d = np.asarray(A.to_sparse().power(2).sum(axis=1)).ravel()
+    for seg in plan.segments:
+        if seg[0] == "gram":
+            _, lo, hi, idx, _, blocks = seg
+            assert np.array_equal(plan.order[lo:lo + idx.size], idx)
+            assert np.all(d[idx] > 0) and not np.any(d[plan.order[lo + idx.size:hi]])
+            assert blocks[-1][0].stop == idx.size
+    # op is A with its rows in plan order; its adjoint holds to rounding
+    op = plan.op
+    for _ in range(3):
+        x = rng.standard_normal(n)
+        z = rng.standard_normal(m)
+        ax, atz = A.matvec(x), A.rmatvec(z)
+        assert np.max(np.abs(op.matvec(x) - plan.permute(ax))) <= 1e-13 * np.max(np.abs(ax))
+        assert (np.max(np.abs(op.rmatvec(plan.permute(z)) - atz))
+                <= 1e-13 * np.max(np.abs(atz)))
+        pz, opx, optz = plan.permute(z), op.matvec(x), op.rmatvec(plan.permute(z))
+        gap = abs(float(opx @ pz) - float(x @ optz))
+        assert gap <= 1e-12 * max(np.linalg.norm(opx) * np.linalg.norm(pz),
+                                  np.linalg.norm(x) * np.linalg.norm(optz))
+
+
+@pytest.mark.filterwarnings("ignore:zero row sums")
+def test_bcd_plan_is_built_only_for_a_z_step_that_sweeps_it(monkeypatch):
+    from pdopt.precond import pock_diagonal
+    prob = _toy_problem(np.random.default_rng(43))
+    inits = []
+    init = BcdPlan.__init__
+
+    def counting(self, *args, **kw):
+        inits.append(args)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(BcdPlan, "__init__", counting)
+    m1, m2 = pock_diagonal(prob.A)
+    # the closed-form z-step under a diagonal M2 never reads a plan
+    cfg = SolverConfig(algorithm="prepdhg_exact", inner="bcd", m1=m1, m2=m2,
+                       tau=0.05, max_outer=5)
+    resolved = validate_config(prob, cfg)
+    assert resolved["plan"] is None and inits == []
+    assert run(prob, cfg, resolved).outer_iters == 5
+    cfg = SolverConfig(algorithm="prepdhg_exact", inner="bcd", tau=0.05,
+                       max_outer=5)
+    resolved = validate_config(prob, cfg)
+    assert isinstance(resolved["plan"], BcdPlan) and len(inits) == 1
+    assert run(prob, cfg, resolved).outer_iters == 5
+
+
+def _emd_8x8():
+    from pdopt import problems
+    blob = np.exp(-np.arange(8.0) ** 2 / 6.0)
+    return problems.emd(np.outer(blob, blob), np.outer(blob[::-1], blob))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_stops_at_a_non_finite_iterate():
+    # gamma = 1e3 is far past the proximal-gradient step bound, so the inner
+    # steps blow up and the iterates overflow to inf and NaN within ~50
+    # iterations; the run stops there instead of running out its budget
+    inst = _emd_8x8()
+    cfg = inst.config(algorithm="iprepdhg", inner="proxgrad", gamma=1e3,
+                      max_outer=3000, tol_residual=None)
+    res = run(inst.problem, cfg)
+    assert res.status == "diverged" and res.outer_iters < 100
+    assert not math.isfinite(res.trace.records[-1]["dz_norm"])
+    # found at the log cadence: at the first logged iteration after it
+    cfg.log_every = 100
+    res = run(inst.problem, cfg)
+    assert res.status == "diverged" and res.outer_iters == 100
+    assert res.trace.column("k") == [100]
+
+
+def test_run_diverged_reads_a_nan_objective_not_an_infinite_one():
+    # an infinite objective can be an indicator's value at a finite iterate
+    for value, status in ((math.inf, "not-converged"), (math.nan, "diverged")):
+        prob = _toy_problem(np.random.default_rng(44))
+        prob.objective = lambda x, value=value: value
+        cfg = SolverConfig(algorithm="iprepdhg", tau=0.01, max_outer=6,
+                           log_every=10 ** 6, phi_star=1.0, tol_delta=1e-9)
+        res = run(prob, cfg)
+        assert res.status == status
+        assert res.outer_iters == (6 if status == "not-converged" else 1)
