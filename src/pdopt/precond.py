@@ -188,12 +188,16 @@ def gram_precond(A, tau, ridge=0.0):
     return Gram(tau, A, ridge)
 
 
-def ct_block_precond(R, rows, cols, tau, variant="norm"):
+def ct_block_precond(R, rows, cols, tau, variant="norm", grad=None):
     """Block preconditioner pair for the stacked (R; D) tomography operator.
 
     variant "norm":   M1 = (2/tau) I,  M2 = blockdiag(tau ||R||^2 I, tau D D^T)
     variant "rowsum": M1 = diag(column abs sums of R) + (1/tau) I,
                       M2 = blockdiag(diag(row abs sums of R), tau D D^T)
+
+    ``grad`` is D, the stacked operator's own ``Grad2D`` block, so a BCD
+    plan reads the Gram block's rows from the operator it already holds;
+    without it a new ``Grad2D(rows, cols)`` is built.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -201,7 +205,10 @@ def ct_block_precond(R, rows, cols, tau, variant="norm"):
     if mat.shape[1] != rows * cols:
         raise ValueError("R column count must equal the grid size")
     n = rows * cols
-    grad = Grad2D(rows, cols, h=1.0)
+    if grad is None:
+        grad = Grad2D(rows, cols, h=1.0)
+    elif grad.shape != (2 * n, n):
+        raise ValueError("grad must be the rows x cols grid's gradient")
     if variant == "norm":
         m1 = ScaledIdentity(2.0 / tau, n)
         top = ScaledIdentity(tau * op_norm_sq_estimate(R), mat.shape[0])

@@ -186,7 +186,8 @@ def ct(R, b, lam, rows, cols, precond_variant="norm", tau=0.01):
     g = _prox.Concat([_prox.Quadratic(R_op.shape[0], weight=1.0, center=b),
                       _prox.L1(2 * n, lam=lam)])
     prob = _solver.SaddleProblem(f=f, g=g, A=A)
-    m1, m2 = ct_block_precond(R_op, rows, cols, tau, variant=precond_variant)
+    m1, m2 = ct_block_precond(R_op, rows, cols, tau, variant=precond_variant,
+                              grad=grad)
     return ProblemInstance(
         problem=prob, name="ct", shape=(rows, cols),
         params={"lam": lam, "variant": precond_variant},

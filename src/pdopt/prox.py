@@ -5,10 +5,13 @@ diagonal metric diag(d) (the minimizer of phi(y) + 1/2 * sum d_i (y_i-v_i)^2),
 and its convex conjugate's value.  The prox is written once, as a kernel with
 the metric bound (``prox_kernel``, which ``prox`` calls).  Proxes of
 conjugates are derived through the generalized Moreau identity
-(``conj_prox``) instead of being hand-coded, except for the scalar fast paths
-used inside block-coordinate sweeps (``conj_prox_kernel``, which
-``conj_prox_scalar`` calls).  Functions are treated as immutable after
-construction: a bound kernel keeps the constants it computed.
+(``conj_prox``, the reference route) instead of being hand-coded, except for
+the closed forms the solvers bind (``conj_prox_kernel``, which
+``conj_prox_scalar`` calls): per coordinate inside block-coordinate sweeps,
+and over the whole vector for PDHG's dual step and the gradient z-solvers,
+where a kind without a closed form binds the Moreau identity instead.
+Functions are treated as immutable after construction: a bound kernel keeps
+the constants it computed.
 
 The scalar kernels call numpy's ``clip`` ufunc directly, the call
 ``np.clip`` makes after its Python dispatch, so results are the same bits.
@@ -32,8 +35,9 @@ class UnsupportedKindError(ValueError):
 
 
 def _times_step(t, const, idx):
-    """``t * const[idx]``, or None when those constants are all zero."""
-    c = const[idx]
+    """``t * const[idx]`` (``t * const`` when ``idx`` is None), or None when
+    those constants are all zero."""
+    c = const if idx is None else const[idx]
     return t * c if c.any() else None
 
 
@@ -78,11 +82,20 @@ class ProxFunction:
         """
         return self.conj_prox_kernel(t, idx)(v)
 
-    def conj_prox_kernel(self, t, idx):
+    def conj_prox_kernel(self, t, idx=None):
         """``conj_prox_scalar`` with the step ``t`` and coordinates ``idx``
         bound: a function ``v -> conj_prox_scalar(v, t, idx)`` that returns a
-        new array.  Binding gathers the per-coordinate constants times ``t``
-        once, or nothing when they are zero."""
+        new array and leaves ``v`` as it is.  Binding gathers the
+        per-coordinate constants times ``t`` once, or nothing when they are
+        zero.
+
+        With ``idx`` None the kernel acts on the whole vector: the closed form
+        reads the constants as they are, with no gather.  A kind without a
+        closed form binds the Moreau identity at step ``t`` instead (the bits
+        of ``conj_prox_via_moreau(self, v, t)``), and raises
+        UnsupportedKindError for coordinates ``idx``."""
+        if idx is None:
+            return _moreau_kernel(self, t)
         raise UnsupportedKindError(
             f"{type(self).__name__} has no scalar conjugate prox; "
             "use a gradient-based inner solver")
@@ -156,7 +169,7 @@ class L1(ProxFunction):
             return np.inf
         return float(y @ self.shift)
 
-    def conj_prox_kernel(self, t, idx):
+    def conj_prox_kernel(self, t, idx=None):
         # conjugate: <z, shift> + indicator(|z| <= lam)
         lam, ts = self.lam, _times_step(t, self.shift, idx)
         if ts is None:
@@ -344,7 +357,7 @@ class PointIndicator(ProxFunction):
     def conjugate_value(self, y, feas_tol=1e-8):
         return float(np.asarray(y, dtype=float) @ self.target)
 
-    def conj_prox_kernel(self, t, idx):
+    def conj_prox_kernel(self, t, idx=None):
         ts = _times_step(t, self.target, idx)
         if ts is None:
             return lambda v: np.array(v, dtype=float)
@@ -384,7 +397,7 @@ class Quadratic(ProxFunction):
         y = np.asarray(y, dtype=float)
         return float(y @ y) / (2.0 * self.weight) + float(y @ self.center)
 
-    def conj_prox_kernel(self, t, idx):
+    def conj_prox_kernel(self, t, idx=None):
         # conjugate: ||z||^2/(2w) + <z, center>
         w, ts = self.weight, _times_step(t, self.center, idx)
         wt = w + t
@@ -413,10 +426,10 @@ class Concat(ProxFunction):
         x = np.asarray(x, dtype=float)
         return float(sum(p.value(x[sl]) for p, sl in self._slices()))
 
-    def prox_kernel(self, d):
-        d = _metric(d)
-        routes = [(sl, p.prox_kernel(d[sl] if np.ndim(d) else d))
-                  for p, sl in self._slices()]
+    def _by_parts(self, bind):
+        """A whole-vector kernel that runs ``bind(part, sl)``, each part's
+        kernel bound once, on the part's slice."""
+        routes = [(sl, bind(p, sl)) for p, sl in self._slices()]
         dim = self.dim
 
         def kernel(v):
@@ -427,13 +440,21 @@ class Concat(ProxFunction):
             return out
         return kernel
 
+    def prox_kernel(self, d):
+        d = _metric(d)
+        return self._by_parts(lambda p, sl: p.prox_kernel(d[sl] if np.ndim(d) else d))
+
     def conjugate_value(self, y, feas_tol=1e-8):
         y = np.asarray(y, dtype=float)
         return float(sum(p.conjugate_value(y[sl], feas_tol) for p, sl in self._slices()))
 
-    def conj_prox_kernel(self, t, idx):
-        # coordinates inside one part bind that part's kernel; a spread over
-        # several parts routes each part's coordinates through a fixed mask
+    def conj_prox_kernel(self, t, idx=None):
+        # the whole vector binds each part's whole-vector kernel; coordinates
+        # inside one part bind that part's kernel; a spread over several
+        # parts routes each part's coordinates through a fixed mask
+        if idx is None:
+            return self._by_parts(
+                lambda p, sl: p.conj_prox_kernel(t[sl] if np.ndim(t) else t))
         idx = np.asarray(idx, dtype=int)
         routes = []
         for p, sl in self._slices():
@@ -459,6 +480,21 @@ class Concat(ProxFunction):
         for p, sl in self._slices():
             out[sl] = p.conj_residual(z[sl], s[sl])
         return out
+
+
+def _moreau_kernel(phi, t):
+    """``v -> conj_prox_via_moreau(phi, v, t)``, the same bits, with phi's
+    prox bound at the metric ``t`` once."""
+    t = _metric(t)
+    prox = phi.prox_kernel(t)
+
+    def kernel(v):
+        w = np.asarray(v, dtype=float) / t
+        out = prox(w)                       # a new array
+        np.subtract(w, out, out=out)
+        out *= t
+        return out
+    return kernel
 
 
 def conj_prox_via_moreau(phi, w, d):

@@ -196,29 +196,39 @@ class ZSubproblem:
         return self.g.conjugate_value(z) + self.quad_value(z)
 
 
-def inner_proxgrad(sub, gamma, p):
-    """p proximal-gradient steps on the z-subproblem, started at z_ref."""
+def inner_proxgrad(sub, gamma, p, conj_prox=None):
+    """p proximal-gradient steps on the z-subproblem, started at z_ref.
+    ``conj_prox`` is ``_conj_prox_at(sub.g, gamma)``, which ``validate_config``
+    binds once per run; it is bound here if not given."""
     if p < 1:
         raise ConfigError("p must be >= 1")
     z = sub.z_ref
-    conj_prox = _conj_prox_at(sub.g, gamma)
+    if conj_prox is None:
+        conj_prox = _conj_prox_at(sub.g, gamma)
     for _ in range(p):
         z = conj_prox(z - gamma * sub.grad_quad(z))
     return z, p
 
 
-def inner_fista_restart(sub, gamma, p):
-    """p FISTA steps with function-value adaptive restart; p counts gradient evals."""
+def inner_fista_restart(sub, gamma, p, conj_prox=None):
+    """p FISTA steps with function-value adaptive restart; p counts gradient
+    evals.  ``conj_prox`` as for ``inner_proxgrad``."""
     if p < 1:
         raise ConfigError("p must be >= 1")
+    if conj_prox is None:
+        conj_prox = _conj_prox_at(sub.g, gamma)
     return _fista_restart(sub.z_ref, sub.grad_quad, sub.objective,
-                          _conj_prox_at(sub.g, gamma), gamma, p), p
+                          conj_prox, gamma, p), p
 
 
 def _conj_prox_at(g, gamma):
-    """v -> the prox of g's conjugate at step gamma (metric 1/gamma)."""
-    d = np.full(g.dim, 1.0 / gamma)
-    return lambda v: _prox.conj_prox(g, v, d)
+    """v -> the prox of g's conjugate at step gamma (metric 1/gamma), bound
+    once: ``g``'s whole-vector kernel (a closed form, else the Moreau
+    identity).  A metric that does not suit ``g`` is a ConfigError."""
+    try:
+        return g.conj_prox_kernel(gamma)
+    except _prox.UnsupportedMetricError as exc:
+        raise ConfigError(f"the z-step metric does not suit g: {exc}") from None
 
 
 def _small_step(z_new, z, tol):
@@ -270,16 +280,21 @@ class BcdPlan:
     ``idx`` lists the rows of A they hold.  Rows with
     ``h = tau ||a_i||^2 + ridge = 0`` are dead: they come last in the
     segment and are never touched.  ``inv_h`` is ``1/h`` over the live
-    range, and ``blocks`` holds one ``(slice, G_b)`` pair per colour block,
-    the slice relative to the live range: ``G_b`` is the block's rows of
-    ``A A^T`` with the self-coupling removed, scaled row-wise by ``tau/h``,
-    with columns over the live range.  The ``G_b`` are row slices of one
-    product of the segment's rows in plan order with their transpose (the
-    arrays of ``op`` when the Gram operator is A itself).  Building them also
-    checks the ordering: an off-diagonal entry of ``A A^T`` inside a block
-    raises OrderingError.  ``products`` holds, per segment, ``None`` for a
-    diagonal one and, for a Gram one, one ``(slice, v -> G_b @ v)`` pair per
-    colour block with the product bound once (``bind_csr_matvec``).
+    range, and ``blocks`` holds one ``(slice, L_b, U_b)`` triple per colour
+    block, the slice relative to the live range.  ``G_b``, the block's rows
+    of ``A A^T`` with the self-coupling removed, scaled row-wise by
+    ``tau/h``, with columns over the live range, is held in two CSR parts:
+    ``L_b`` has its columns before the block and ``U_b`` those after it,
+    each row's entries in ``G_b``'s order (a stable partition of each row).
+    The ``G_b`` are row slices of one product of the segment's rows in plan
+    order with their transpose, taken from ``op``'s rows when the Gram
+    operator is A or A's block over those rows; the parts share that
+    product's arrays.  Building them also checks the ordering: an
+    off-diagonal entry of ``A A^T`` inside a block raises OrderingError.
+    ``products`` holds, per segment, ``None`` for a diagonal one and, for a
+    Gram one, one ``(slice, lower, upper)`` triple per colour block:
+    ``v -> L_b @ v`` and ``(v, out) -> out + U_b @ v``, each bound once
+    (``bind_csr_matvec``), or None for a part with no entries.
 
     ``bind(g)`` gives every diagonal segment and every colour block its
     scalar conjugate prox of ``g`` at the block's fixed step (``1/e`` or
@@ -294,11 +309,11 @@ class BcdPlan:
     def __init__(self, A, m2, ordering=None):
         self.g = self.kernels = None
         if isinstance(m2, (Diagonal, ScaledIdentity, Gram)):
-            parts = [(0, m2.dim, m2)]
+            parts = [(0, m2.dim, m2, A)]
         elif isinstance(m2, BlockDiag) and isinstance(A, StackedOp):
-            parts = list(zip(A.row_offsets, A.row_offsets[1:], m2.parts))
+            parts = list(zip(A.row_offsets, A.row_offsets[1:], m2.parts, A.ops))
             if len(m2.parts) != len(A.ops) or any(
-                    part.dim != hi - lo for lo, hi, part in parts):
+                    part.dim != hi - lo for lo, hi, part, _ in parts):
                 raise ConfigError("block preconditioner does not match stacked operator")
         else:
             raise ConfigError(
@@ -307,7 +322,7 @@ class BcdPlan:
         mat = A.to_sparse().tocsr()
         layouts, orders = [], []
         self.num_blocks = 0
-        for lo, hi, part in parts:
+        for lo, hi, part, rows_op in parts:
             lo, hi = int(lo), int(hi)
             if isinstance(part, (Diagonal, ScaledIdentity)):
                 layouts.append(("diag", lo, hi, part.diagonal()))
@@ -316,10 +331,15 @@ class BcdPlan:
             elif isinstance(part, Gram):
                 blocks = (ordering if ordering is not None and part is m2
                           else ordering_for(part.A)).blocks
-                # the rows of a Gram operator other than A itself, else None
-                own = None if part.A is A else part.A.to_sparse().tocsr()
-                layout = self._gram_layout(mat if own is None else own,
-                                           part.tau, part.ridge, blocks)
+                # the rows of a Gram operator other than A's over lo:hi, else
+                # None: the segment then takes op's rows
+                own = None if part.A is rows_op else part.A.to_sparse().tocsr()
+                if own is None:
+                    d = (mat.power(2) @ np.ones(mat.shape[1]))[lo:hi]
+                else:
+                    d = own.power(2) @ np.ones(own.shape[1])
+                layout = self._gram_layout(d, part.tau, part.ridge, blocks)
+                del d           # holds all of A's row norms until the plan is built
                 layouts.append(("gram", lo, part.tau, None if own is None
                                 else own[layout[0]], layout))
                 orders.append(lo + layout[0])
@@ -333,18 +353,19 @@ class BcdPlan:
         self.segments = [seg if seg[0] == "diag" else
                          self._gram_segment(*seg[1:]) for seg in layouts]
         self.products = [None if seg[0] == "diag" else
-                         [(sl, bind_csr_matvec(g_b)) for sl, g_b in seg[5]]
+                         [(sl,) + tuple(None if half.nnz == 0 else
+                                        bind_csr_matvec(half) for half in halves)
+                          for sl, *halves in seg[5]]
                          for seg in self.segments]
 
     @staticmethod
-    def _gram_layout(mat, tau, ridge, blocks):
-        """(order, d, h, block sizes) of one Gram segment: its rows in plan
-        order (live rows block by block, then the dead ones), ``||a_i||^2``
-        and h over them, and the number of live rows of each colour block."""
-        m = mat.shape[0]
-        if sum(b.size for b in blocks) != m:
+    def _gram_layout(d, tau, ridge, blocks):
+        """(order, d, h, block sizes) of one Gram segment from ``d``, its
+        rows' ``||a_i||^2``: its rows in plan order (live rows block by
+        block, then the dead ones), d and ``h = tau d + ridge`` over them,
+        and the number of live rows of each colour block."""
+        if sum(b.size for b in blocks) != d.size:
             raise OrderingError("ordering does not partition the operator's row space")
-        d = mat.power(2) @ np.ones(mat.shape[1])        # ||a_i||^2
         h = tau * d + ridge
         live_blocks = [blk[h[blk] > 0] for blk in blocks]
         order = np.concatenate(live_blocks + [np.flatnonzero(~(h > 0))])
@@ -353,12 +374,15 @@ class BcdPlan:
     def _gram_segment(self, lo, tau, rows, layout):
         """The segment's Gram rows per colour block, as row slices of one
         product of its rows in plan order (``op``'s when ``rows`` is None)
-        with their transpose."""
+        with their transpose, each split in place into its columns before
+        and after the block."""
         order, d, h, sizes = layout
         n_live = sum(sizes)
-        if rows is None:
+        if rows is None and order.size == self.op.shape[0]:
             rows, rows_t = self.op.mat, self.op.mat_t
         else:
+            if rows is None:
+                rows = self.op.mat[lo:lo + order.size]
             rows_t = rows.T.tocsr()
         gram = rows @ rows_t                        # rows of A A^T, plan order
         indptr, cols, data = gram.indptr, gram.indices, gram.data
@@ -386,10 +410,27 @@ class BcdPlan:
         indptr, cols, data = gram.indptr, gram.indices, gram.data
         blocks = []
         for start, stop in spans:
+            # all of the block's entries left of it, row by row, then all
+            # right of it: a stable partition of each row, in place, one
+            # array and one side at a time to keep the temporaries small
             a, b = indptr[start], indptr[stop]
-            blocks.append((slice(start, stop), sp.csr_matrix(
-                (data[a:b], cols[a:b], indptr[start:stop + 1] - a),
-                shape=(stop - start, n_live))))
+            row_ptr = indptr[start:stop + 1] - a
+            left = cols[a:b] < start
+            left_count = np.zeros(b - a + 1, dtype=row_ptr.dtype)
+            np.cumsum(left, dtype=row_ptr.dtype, out=left_count[1:])
+            left_ptr = left_count[row_ptr]
+            del left_count
+            mid = a + left_ptr[-1]
+            for arr in (data, cols):
+                right = arr[a:b][~left]
+                arr[a:mid] = arr[a:b][left]
+                arr[mid:b] = right
+            shape = (stop - start, n_live)
+            blocks.append((slice(start, stop),
+                           sp.csr_matrix((data[a:mid], cols[a:mid], left_ptr),
+                                         shape=shape),
+                           sp.csr_matrix((data[mid:b], cols[mid:b],
+                                          row_ptr - left_ptr), shape=shape)))
         return ("gram", lo, lo + order.size, self.order[lo:lo + n_live],
                 1.0 / h[:n_live], blocks)
 
@@ -421,7 +462,7 @@ class BcdPlan:
                 else:
                     _, _, _, idx, inv_h, blocks = seg
                     kernels.append([g.conj_prox_kernel(inv_h[sl], idx[sl])
-                                    for sl, _ in blocks])
+                                    for sl, *_ in blocks])
             self.g, self.kernels = g, kernels
         return self.kernels
 
@@ -475,10 +516,14 @@ def _bcd_sweep(sub, plan, z, epochs, at_ref=False):
     segment reads z_ref and q over its live range as views and forms
     c = z_ref + q/h; block b then sets dz_b = kernel_b(c_b - G_b dz) - z_ref_b
     with dz = z - z_ref, and z_ref + dz is written into the live range of z.
-    From z_ref the first block's product is skipped, since dz is still zero
-    there.  Each difference is written into an array the sweep owns (c, the
-    product's fresh output, dz); addition commutes bit for bit, so the
-    results are those of the plain expressions.
+    ``G_b dz`` is ``L_b dz`` with ``U_b dz`` added into the same output
+    (see ``BcdPlan``).  In a first epoch from z_ref the blocks not yet swept
+    have dz = 0, so it reads ``L_b`` only, the same bits as ``G_b dz`` (the
+    terms it drops are signed zeros added to a sum that starts at +0.0),
+    and dz starts uninitialized.  A missing part is skipped: ``G_b @ 0`` is
+    +0.0 and c - 0.0 == c bit for bit.  Each difference is written into an
+    array the sweep owns (c, the product's fresh output, dz); addition
+    commutes bit for bit, so the results are those of the plain expressions.
     """
     for seg, kernel, products in zip(plan.segments, plan.bind(sub.g),
                                      plan.products):
@@ -491,17 +536,19 @@ def _bcd_sweep(sub, plan, z, epochs, at_ref=False):
             z_ref = sub.z_ref[live]
             c = sub.q[live] * inv_h
             c += z_ref
-            dz = np.zeros(idx.size) if at_ref else z[live] - z_ref
-            skip = at_ref       # G_b @ 0 is +0.0 and c - 0.0 == c bit for bit
+            dz = np.empty(idx.size) if at_ref else z[live] - z_ref
+            first = at_ref          # dz holds only the blocks swept so far
             for _ in range(epochs):
-                for (sl, product), block_kernel in zip(products, kernel):
-                    if skip:
+                for (sl, lower, upper), block_kernel in zip(products, kernel):
+                    v = None if lower is None else lower(dz)
+                    if upper is not None and not first:
+                        v = upper(dz, v)
+                    if v is None:
                         v = c[sl]
-                        skip = False
                     else:
-                        v = product(dz)
                         np.subtract(c[sl], v, out=v)
                     np.subtract(block_kernel(v), z_ref[sl], out=dz[sl])
+                first = False
             np.add(dz, z_ref, out=z[live])
 
 
@@ -642,17 +689,19 @@ def admm_dual_step(z, y, v, tau, problem, tol=1e-13, max_iter=500000):
 # ---------------------------------------------------------------------------
 # elementary steps
 
-def pdhg_step(x, z, problem, tau, sigma, f_prox=None):
-    """One classic PDHG iteration.  ``f_prox`` is ``f.prox_kernel(1/tau)``,
-    which ``validate_config`` binds once per run; it is bound here if not
+def pdhg_step(x, z, problem, tau, sigma, f_prox=None, g_conj=None):
+    """One classic PDHG iteration.  ``f_prox`` is ``f.prox_kernel(1/tau)``
+    and ``g_conj`` the dual step ``g.conj_prox_kernel(sigma)``, which
+    ``validate_config`` binds once per run; each is bound here if not
     given."""
     f, g, A = problem.f, problem.g, problem.A
     if f_prox is None:
         f_prox = f.prox_kernel(1.0 / tau)
+    if g_conj is None:
+        g_conj = _conj_prox_at(g, sigma)
     x_new = f_prox(x - tau * A.rmatvec(z))
     q = A.matvec(2.0 * x_new - x)
-    z_new = _prox.conj_prox(g, z + sigma * q, np.full(g.dim, 1.0 / sigma))
-    return x_new, z_new
+    return x_new, g_conj(z + sigma * q)
 
 
 def prepdhg_x_step(x, z, problem, m1, f_prox=None, A=None):
@@ -724,14 +773,17 @@ def validate_config(problem, config):
     z-solver of the ZSubproblem ``sub``: for prepdhg_exact the closed form
     under a diagonal M2 or ``solve_subproblem_exact``, for iprepdhg ``p``
     steps of ``inner_bcd``, ``inner_proxgrad`` or ``inner_fista_restart``,
-    looked up in this module when called.  Also ``f_prox``, the x-step prox
-    of ``f`` bound at ``1/tau`` or ``m1``'s diagonal; ``sigma`` (pdhg), else
-    ``m1``, ``m2``, ``plan`` and ``gamma``, None where the z-solver does not
-    read them.  ``plan`` is the bound ``BcdPlan`` of a z-step that sweeps
-    one (iprepdhg with bcd, prepdhg_exact with bcd under a non-diagonal
-    M2); that step takes and returns z in the plan's order (``plan.order``)
-    and pairs it with ``plan.op``, and ``run()`` permutes z at the edges of
-    the run.  Raises ConfigError for a configuration that cannot run.
+    looked up in this module when called.  The conjugate prox of ``g``
+    that a step reads is a kernel bound once (``_conj_prox_at`` for pdhg
+    and the z-solvers; ``BcdPlan.bind`` for a sweep), so no iteration calls
+    ``prox.conj_prox``.  Also ``f_prox``, the
+    x-step prox of ``f`` bound at ``1/tau`` or ``m1``'s diagonal; ``sigma``
+    (pdhg), else ``m1``, ``m2``, ``plan`` and ``gamma``, None where the
+    z-solver does not read them.  ``plan`` is the bound ``BcdPlan`` of a
+    z-step that sweeps one (iprepdhg with bcd, prepdhg_exact with bcd under
+    a non-diagonal M2); that step takes and returns z in the plan's order
+    (``plan.order``) and pairs it with ``plan.op``, and ``run()`` permutes z
+    at the edges of the run.  Raises ConfigError for a configuration that cannot run.
     """
     m, n = problem.dims
     cfg = config
@@ -763,9 +815,10 @@ def validate_config(problem, config):
         elif norm_sq > 0 and 1.0 / (tau * sigma) < norm_sq / 1.01 * (1 - 1e-9):
             raise ConfigError("pdhg stepsizes violate 1/(tau*sigma) >= ||A||^2")
         f_prox = _bind_x_prox(problem.f, 1.0 / tau)
+        g_conj = _conj_prox_at(problem.g, sigma)
 
         def step(x, z):
-            return (*pdhg_step(x, z, problem, tau, sigma, f_prox), None)
+            return (*pdhg_step(x, z, problem, tau, sigma, f_prox, g_conj), None)
 
         return {"sigma": sigma, "f_prox": f_prox, "step": step}
     m1 = cfg.m1 if cfg.m1 is not None else scaled_identity(cfg.tau, n)
@@ -812,18 +865,23 @@ def validate_config(problem, config):
 def _z_solver(algorithm, closed_form, inner, g, m2, plan, gamma, p):
     """The z-step ``sub -> z_new`` of a preconditioned algorithm;
     ``closed_form`` says it is prepdhg_exact under a diagonal M2.  Under a
-    plan, ``sub`` and z_new are in plan order."""
+    plan, ``sub`` and z_new are in plan order.  The conjugate prox of ``g``
+    that a step reads is bound here, once per run: at ``1/d2`` for the
+    closed form, at ``gamma`` for the gradient inner iterators (the exact
+    solve binds its own per solve)."""
     if closed_form:
         d2 = m2.diagonal()
-        return lambda sub: _prox.conj_prox(g, sub.z_ref + sub.q / d2, d2)
+        g_conj = _conj_prox_at(g, 1.0 / d2)
+        return lambda sub: g_conj(sub.z_ref + sub.q / d2)
     if algorithm == "prepdhg_exact":
         return lambda sub: solve_subproblem_exact(sub, gamma=gamma, plan=plan,
                                                   plan_order=plan is not None)
     if inner == "bcd":
         return lambda sub: inner_bcd(sub, plan, p, plan_order=True)[0]
+    conj_prox = _conj_prox_at(g, gamma)
     if inner == "proxgrad":
-        return lambda sub: inner_proxgrad(sub, gamma, p)[0]
-    return lambda sub: inner_fista_restart(sub, gamma, p)[0]
+        return lambda sub: inner_proxgrad(sub, gamma, p, conj_prox)[0]
+    return lambda sub: inner_fista_restart(sub, gamma, p, conj_prox)[0]
 
 
 def run(problem, config, resolved=None):

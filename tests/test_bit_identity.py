@@ -3,18 +3,31 @@
 The functions below are the BCD sweep and its exact-solve loop, the scalar
 L1 conjugate prox, the L1 objective and the preconditioned x-step with the
 step's ``q``, written out as they were before they wrote their differences
-into arrays they own, called the ``clip`` ufunc directly and ran in plan
-order: the oracle for byte-identical results, and for whole BCD solves,
-which now pair z in plan order with a CSR of A, results within 1e-12.
+into arrays they own, called the ``clip`` ufunc directly, ran in plan order
+and read only the swept blocks in a first epoch: the oracle for
+byte-identical results, and for whole BCD solves, which now pair z in plan
+order with a CSR of A, results within 1e-12.  PDHG's step is written out as
+it was before its dual step was bound: through the Moreau route, which the
+bound closed forms match to a few ulps.
 """
 
 import numpy as np
 import pytest
 
 from pdopt import problems, solver
-from pdopt.prox import L1, _times_step
+from pdopt.prox import L1, _times_step, conj_prox
 from pdopt.solver import (BcdPlan, ZSubproblem, inner_bcd, run,
                           solve_subproblem_exact, validate_config)
+
+
+def _gram_product(sl, lower, upper, v):
+    """``G_b @ v`` as the plan holds it: ``L_b``'s terms, then ``U_b``'s
+    added into the same output."""
+    out = np.zeros(sl.stop - sl.start)
+    for part in (lower, upper):
+        if part is not None:
+            part(v, out)
+    return out
 
 
 def _old_bcd_sweep(sub, plan, z, epochs, at_ref=False):
@@ -30,8 +43,8 @@ def _old_bcd_sweep(sub, plan, z, epochs, at_ref=False):
             dz = np.zeros(idx.size) if at_ref else z[idx] - z_ref
             skip = at_ref
             for _ in range(epochs):
-                for (sl, product), block_kernel in zip(products, kernel):
-                    v = c[sl] if skip else c[sl] - product(dz)
+                for (sl, *parts), block_kernel in zip(products, kernel):
+                    v = c[sl] if skip else c[sl] - _gram_product(sl, *parts, dz)
                     skip = False
                     dz[sl] = block_kernel(v) - z_ref[sl]
             z[idx] = z_ref + dz
@@ -65,6 +78,18 @@ def _old_prepdhg_x_step(x, z, problem, m1, f_prox=None):
     return f_prox(x - m1.apply_inverse(problem.A.rmatvec(z)))
 
 
+def _old_pdhg_step(problem, cfg, resolved):
+    tau, sigma, f_prox = cfg.tau, resolved["sigma"], resolved["f_prox"]
+    A, g = problem.A, problem.g
+
+    def step(x, z):
+        x_new = f_prox(x - tau * A.rmatvec(z))
+        q = A.matvec(2.0 * x_new - x)
+        return x_new, conj_prox(g, z + sigma * q, np.full(g.dim, 1.0 / sigma)), None
+
+    return step
+
+
 def _old_step(problem, cfg, resolved):
     m1, m2, plan = resolved["m1"], resolved["m2"], resolved["plan"]
     f_prox = resolved["f_prox"]
@@ -87,7 +112,7 @@ def _assert_runs_agree(got, want, name, rtol=1e-12):
     assert (got.status, got.outer_iters) == (want.status, want.outer_iters), name
     assert got.trace.column("k") == want.trace.column("k"), name
     for a, b in zip(got.trace.column("obj"), want.trace.column("obj")):
-        assert abs(a - b) <= rtol * abs(b), name
+        assert abs(a - b) <= rtol * abs(b) or a == b, name
     for a, b in ((got.state.x, want.state.x), (got.state.z, want.state.z)):
         assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b)), name
 
@@ -167,7 +192,9 @@ def test_solves_are_the_old_code_byte_for_byte(monkeypatch, algorithm):
     # old code ran the BCD solves in A's row order through the grid
     # stencils; they now keep z in plan order and pair it with a CSR of A,
     # whose products sum their terms in another order, so those two agree
-    # to 1e-12 relative and pdhg stays byte for byte
+    # to 1e-12 relative.  PDHG's dual step is now a bound closed form where
+    # the old one took the Moreau route: the same iterations, each iterate
+    # within a few ulps (2e-14 relative)
     for inst, tau in _instances():
         max_outer = 4 if algorithm == "prepdhg_exact" else 30
         inner = None if algorithm == "pdhg" else "bcd"
@@ -175,17 +202,13 @@ def test_solves_are_the_old_code_byte_for_byte(monkeypatch, algorithm):
                           max_outer=max_outer, tol_residual=None)
         got = run(inst.problem, cfg)
         with monkeypatch.context() as patch:
-            patch.setattr(L1, "conj_prox_kernel", _old_l1_conj_prox_kernel)
             patch.setattr(L1, "value", _old_l1_value)
-            resolved = validate_config(inst.problem, cfg)
             if algorithm != "pdhg":
-                resolved = {**resolved, "plan": None,
-                            "step": _old_step(inst.problem, cfg, resolved)}
+                patch.setattr(L1, "conj_prox_kernel", _old_l1_conj_prox_kernel)
+            resolved = validate_config(inst.problem, cfg)
+            old_step = _old_pdhg_step if algorithm == "pdhg" else _old_step
+            resolved = {**resolved, "plan": None,
+                        "step": old_step(inst.problem, cfg, resolved)}
             want = run(inst.problem, cfg, resolved)
-        if algorithm != "pdhg":
-            _assert_runs_agree(got, want, inst.name)
-            continue
-        assert (got.trace.csv_text(omit_time=True)
-                == want.trace.csv_text(omit_time=True)), inst.name
-        assert got.state.x.tobytes() == want.state.x.tobytes(), inst.name
-        assert got.state.z.tobytes() == want.state.z.tobytes(), inst.name
+        _assert_runs_agree(got, want, inst.name,
+                           rtol=2e-14 if algorithm == "pdhg" else 1e-12)

@@ -362,6 +362,15 @@ def test_bound_csr_products_are_scipys_bit_for_bit(mat, seed):
     want_fwd, want_adj = mat @ x, mat.T @ z
     assert bind_csr_matvec(mat)(x).tobytes() == want_fwd.tobytes()
     assert bind_csr_matvec(mat.T.tocsr())(z).tobytes() == want_adj.tobytes()
+    # with an output vector, each row's sum starts from its entry and adds
+    # the row's terms in stored order
+    out = _grid_values(rng, mat.shape[0])
+    want = out.copy()
+    for i in range(mat.shape[0]):
+        for jj in range(mat.indptr[i], mat.indptr[i + 1]):
+            want[i] += mat.data[jj] * x[mat.indices[jj]]
+    assert bind_csr_matvec(mat)(x, out) is out
+    assert out.tobytes() == want.tobytes()
     # SparseOp works on a canonical copy (sorted, duplicates summed): its
     # products are scipy's for that copy, and a canonical input's own
     canon = mat.copy()

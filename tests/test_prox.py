@@ -325,6 +325,103 @@ def test_kernel_of_unsupported_kind_raises():
     Concat([L1(2), BoxIndicator(2)]).conj_prox_kernel(1.0, idx)
 
 
+def _whole_case(kind, rng, half):
+    """One function of ``kind`` on 2 * half coordinates; GroupL12's groups
+    are consecutive pairs, so a step constant on pairs suits it."""
+    n = 2 * half
+    lam = float(rng.uniform(0.1, 3.0))
+    if kind == "zero":
+        return Zero(n)
+    if kind == "l1":
+        return L1(n, lam=lam)
+    if kind == "l1-shift":
+        return L1(n, lam=lam, shift=rng.standard_normal(n))
+    if kind == "group":
+        return GroupL12(n, np.arange(n).reshape(-1, 2), lam=lam)
+    if kind == "box":
+        return BoxIndicator(n, -float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0)))
+    if kind == "linear-box":
+        return LinearPlusBox(n, rng.standard_normal(n), 0.0, 1.0)
+    if kind == "point":
+        return PointIndicator(rng.standard_normal(n))
+    if kind == "point-zero":
+        return PointIndicator(np.zeros(n))
+    if kind == "quadratic":
+        return Quadratic(n, weight=float(rng.uniform(0.1, 5.0)),
+                         center=rng.standard_normal(n))
+    if kind == "quadratic-zero":
+        return Quadratic(n, weight=float(rng.uniform(0.1, 5.0)))
+    # closed forms and Moreau fallbacks side by side; parts keep pairs whole
+    k = int(rng.integers(0, half + 1))
+    parts = [GroupL12(2 * k, np.arange(2 * k).reshape(-1, 2), lam=lam)] if k else []
+    rest = n - 2 * k
+    if rest:
+        cut = int(rng.integers(0, rest + 1))
+        parts += [p for p in (L1(cut, lam=lam, shift=rng.standard_normal(cut)),
+                              BoxIndicator(rest - cut, -1.0, 0.5)) if p.dim]
+    return Concat(parts)
+
+
+def _assert_is_the_moreau_route(phi, v, t, got):
+    """``got`` against ``conj_prox_via_moreau``: a closed form within 4 ulps
+    of the inputs' scale, a Moreau fallback bit for bit, a Concat part by
+    part."""
+    if isinstance(phi, Concat):
+        for part, sl in phi._slices():
+            _assert_is_the_moreau_route(part, v[sl], t[sl] if np.ndim(t) else t,
+                                        got[sl])
+        return
+    want = conj_prox_via_moreau(phi, v, t)
+    closed_forms = {L1: "shift", PointIndicator: "target", Quadratic: "center"}
+    if type(phi) in closed_forms:
+        const = getattr(phi, closed_forms[type(phi)])  # subtracted times t
+        scale = np.abs(v) + np.abs(want) + np.abs(t * const)
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["zero", "l1", "l1-shift", "group", "box",
+                             "linear-box", "point", "point-zero", "quadratic",
+                             "quadratic-zero", "concat"]),
+       half=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       scalar_t=st.booleans(), magnitude=st.integers(-3, 3))
+def test_whole_vector_kernel_is_the_moreau_route(kind, half, seed, scalar_t,
+                                                 magnitude):
+    # the whole-vector kernel PDHG and the gradient z-solvers bind: the
+    # closed form within a few ulps of the Moreau identity (the reference
+    # route), the Moreau identity itself bit for bit where there is no
+    # closed form; the input is left as it is
+    rng = np.random.default_rng(seed)
+    phi = _whole_case(kind, rng, half)
+    steps = 10.0 ** rng.uniform(-2.0, 2.0, half)
+    t = float(steps[0]) if scalar_t else np.repeat(steps, 2)
+    v = 10.0 ** magnitude * rng.standard_normal(phi.dim)
+    v[rng.random(phi.dim) < 0.2] = rng.choice([0.0, -0.0])
+    v_bytes = v.tobytes()
+    kernel = phi.conj_prox_kernel(t)
+    got = kernel(v)
+    assert got is not v and v.tobytes() == v_bytes
+    _assert_is_the_moreau_route(phi, v, t, got)
+    assert kernel(v).tobytes() == got.tobytes()         # binding is reusable
+
+
+def test_whole_vector_kernel_keeps_only_its_step_constants():
+    # the whole-vector closed form reads the constants as they are: a zero
+    # shift, target or centre stores nothing, a nonzero one its product by t
+    n = 6
+    for phi in (L1(n), PointIndicator(np.zeros(n)), Quadratic(n)):
+        kernel = phi.conj_prox_kernel(0.5)
+        assert all(not isinstance(c.cell_contents, np.ndarray)
+                   for c in kernel.__closure__ or ())
+    shift = np.arange(n, dtype=float)
+    kernel = L1(n, shift=shift).conj_prox_kernel(0.5)
+    arrays = [c.cell_contents for c in kernel.__closure__
+              if isinstance(c.cell_contents, np.ndarray)]
+    assert len(arrays) == 1 and arrays[0].tobytes() == (0.5 * shift).tobytes()
+
+
 def test_conj_residual_zero_at_conjugate_prox_point():
     # at z = conj prox of (z_prev + q/d) the inclusion residual must vanish
     rng = np.random.default_rng(7)

@@ -14,8 +14,8 @@ import pdopt
 from pdopt.operators import Div2D, Grad2D, SparseOp
 from pdopt.precond import (Diagonal, Gram, ScaledIdentity, gram_precond,
                            metric_spectrum, scaled_identity, two_block_ordering)
-from pdopt.prox import (BoxIndicator, Concat, L1, PointIndicator, Quadratic,
-                        UnsupportedKindError, Zero, conj_prox)
+from pdopt.prox import (BoxIndicator, Concat, GroupL12, L1, PointIndicator,
+                        Quadratic, UnsupportedKindError, Zero, conj_prox)
 from pdopt.solver import (BcdPlan, ConfigError, InfeasibleStepsizeError,
                           SaddleProblem, SingularMetricError, SolverConfig,
                           ZSubproblem, admm_dual_step, bcd_gamma_feasible,
@@ -260,6 +260,42 @@ def test_inner_bcd_ct_block_plan_is_gauss_seidel():
         np.testing.assert_allclose(z_got, z, atol=1e-13)
 
 
+def test_ct_plan_reads_the_gram_rows_from_op(monkeypatch):
+    # problems.ct hands its Grad2D block to ct_block_precond, so the plan
+    # materializes the gradient once (inside A.to_sparse()) and takes the
+    # Gram rows from op; a Gram block over another Grad2D object is
+    # materialized itself, and both plans hold the same bits
+    from pdopt import problems
+    from pdopt.precond import ct_block_precond
+    rng = np.random.default_rng(33)
+    R = problems.synth_line_integral_matrix(8, 8, 6, 10, seed=3)
+    inst = problems.ct(R, rng.random(R.shape[0]), lam=0.1, rows=8, cols=8,
+                       tau=0.1)
+    A, m2 = inst.problem.A, inst.recommended["m2"]
+    assert m2.parts[1].A is A.ops[1]
+    builds = []
+    to_sparse = Grad2D.to_sparse
+
+    def counting(self):
+        builds.append(self)
+        return to_sparse(self)
+
+    monkeypatch.setattr(Grad2D, "to_sparse", counting)
+    shared = BcdPlan(A, m2)
+    assert builds == [A.ops[1]]
+    _, m2_own = ct_block_precond(SparseOp(R), 8, 8, 0.1)
+    builds.clear()
+    own = BcdPlan(A, m2_own)
+    assert len(builds) == 2 and builds[1] is m2_own.parts[1].A
+    assert own.order.tobytes() == shared.order.tobytes()
+    for a, b in zip(own.segments[1][5], shared.segments[1][5]):
+        for x, y in zip(a[1:], b[1:]):
+            assert all(getattr(x, k).tobytes() == getattr(y, k).tobytes()
+                       for k in ("data", "indices", "indptr"))
+    with pytest.raises(ValueError, match="grad"):
+        ct_block_precond(SparseOp(R), 8, 8, 0.1, grad=Grad2D(4, 4))
+
+
 @settings(max_examples=30, deadline=None)
 @given(rows=st.integers(2, 7), cols=st.integers(2, 7), p=st.integers(1, 3),
        tau=st.floats(0.05, 2.0), h=st.floats(0.5, 3.0),
@@ -303,16 +339,19 @@ def test_solve_subproblem_exact_with_bcd_plan_matches_dense():
 
 
 # The loops these functions ran before they shared one FISTA-with-restart
-# loop, written out as they were: the oracle for bit-for-bit equality.
+# loop, written out as they were: the oracle for bit-for-bit equality.  Their
+# conjugate prox is the kernel the solvers now bind once (``g``'s
+# whole-vector kernel at step gamma) where they called the Moreau route;
+# tests/test_prox.py checks that kernel against the Moreau route.
 
 def _old_fista_restart(sub, gamma, p):
-    d = np.full(sub.g.dim, 1.0 / gamma)
+    conj = sub.g.conj_prox_kernel(gamma)
     z = sub.z_ref
     y = z
     t = 1.0
     f_prev = sub.objective(z)
     for _ in range(p):
-        z_new = conj_prox(sub.g, y - gamma * sub.grad_quad(y), d)
+        z_new = conj(y - gamma * sub.grad_quad(y))
         f_new = sub.objective(z_new)
         if f_new > f_prev:
             t = 1.0
@@ -330,7 +369,7 @@ def _old_solve_exact(sub, tol, max_iter, gamma=None, plan=None):
     if plan is None:
         if gamma is None:
             gamma = 1.0 / max(pdopt.solver.m2_norm_estimate(sub.m2), 1e-30)
-        d = np.full(sub.g.dim, 1.0 / gamma)
+        conj = sub.g.conj_prox_kernel(gamma)
     else:
         plan_sub = plan.subproblem(sub)
     z = sub.z_ref
@@ -343,7 +382,7 @@ def _old_solve_exact(sub, tol, max_iter, gamma=None, plan=None):
             pdopt.solver._bcd_sweep(plan_sub, plan, z_new, 1)
             z_new = plan.unpermute(z_new)
         else:
-            z_new = conj_prox(sub.g, y - gamma * sub.grad_quad(y), d)
+            z_new = conj(y - gamma * sub.grad_quad(y))
             f_new = sub.objective(z_new)
             if f_new > f_prev:
                 t = 1.0
@@ -363,7 +402,7 @@ def _old_admm_dual_step(z, y, v, tau, problem, tol, max_iter):
     A = problem.A
     lam = pdopt.operators.op_norm_sq_estimate(A)
     gamma = 1.0 / max(tau * lam, 1e-30)
-    d = np.full(problem.g.dim, 1.0 / gamma)
+    conj = problem.g.conj_prox_kernel(gamma)
     cur = np.asarray(z, dtype=float)
     yy = cur
     t = 1.0
@@ -378,7 +417,7 @@ def _old_admm_dual_step(z, y, v, tau, problem, tol, max_iter):
 
     f_prev = obj(cur)
     for _ in range(max_iter):
-        z_new = conj_prox(problem.g, yy - gamma * grad(yy), d)
+        z_new = conj(yy - gamma * grad(yy))
         f_new = obj(z_new)
         if f_new > f_prev:
             t = 1.0
@@ -509,23 +548,69 @@ def _benchmark_instances():
     yield problems.tvl1(rng.random((256, 256)), lam=1.0), 0.01
 
 
+def _old_gram_blocks(plan, seg, part):
+    """The segment's ``G_b`` as they were built before the plan split them:
+    row slices of one product of its rows in plan order with their
+    transpose, scaled by tau/h, self-coupling and dead columns removed, each
+    row in the product's order."""
+    _, lo, hi, idx, _, blocks = seg
+    rows = plan.op.mat[lo:hi]
+    gram = rows @ rows.T.tocsr()
+    h = part.tau * (rows.power(2) @ np.ones(rows.shape[1])) + part.ridge
+    n_live = idx.size
+    for sl, *_ in blocks:
+        g_b = gram[sl].tocsr()
+        g_b.data *= np.repeat(part.tau / h[sl], np.diff(g_b.indptr))
+        cols = g_b.indices
+        g_b.data[((cols >= sl.start) & (cols < sl.stop)) | (cols >= n_live)] = 0.0
+        g_b.eliminate_zeros()
+        yield sp.csr_matrix((g_b.data, g_b.indices, g_b.indptr),
+                            shape=(g_b.shape[0], n_live))
+
+
 def test_bcd_bound_block_products_are_scipys_bit_for_bit():
+    # each G_b is held as L_b (columns before the block) and U_b (after it),
+    # a stable partition of each row: L_b @ v with U_b @ v added into the
+    # same output is G_b @ v up to the order of its terms, and with the
+    # blocks not yet swept at zero, L_b @ dz alone is G_b @ dz bit for bit
     rng = np.random.default_rng(32)
     for inst, tau in _benchmark_instances():
         cfg = inst.config(algorithm="iprepdhg", inner="bcd", tau=tau, p=1)
-        plan = validate_config(inst.problem, cfg)["plan"]
+        resolved = validate_config(inst.problem, cfg)
+        plan, m2 = resolved["plan"], resolved["m2"]
         n_blocks = 0
-        for seg, products in zip(plan.segments, plan.products):
+        for i, (seg, products) in enumerate(zip(plan.segments, plan.products)):
             if seg[0] == "diag":
                 assert products is None
                 continue
+            part = m2 if isinstance(m2, Gram) else m2.parts[i]
             idx, blocks = seg[3], seg[5]
             assert len(products) == len(blocks)
-            for (sl, g_b), (sl_bound, product) in zip(blocks, products):
+            old = list(_old_gram_blocks(plan, seg, part))
+            for (sl, l_b, u_b), (sl_bound, lower, upper), g_b in zip(
+                    blocks, products, old):
                 assert sl_bound == sl
+                assert np.all(l_b.indices < sl.start)
+                assert np.all(u_b.indices >= sl.stop)
+                assert (lower is None) == (l_b.nnz == 0)
+                assert (upper is None) == (u_b.nnz == 0)
+                assert abs(l_b + u_b - g_b).max() == 0.0
+                for part_b in (l_b, u_b):       # each row keeps G_b's order
+                    for r in rng.choice(sl.stop - sl.start, 20):
+                        row = g_b.indices[g_b.indptr[r]:g_b.indptr[r + 1]]
+                        own = part_b.indices[part_b.indptr[r]:part_b.indptr[r + 1]]
+                        assert list(own) == [c for c in row if c in set(own)]
                 dz = rng.standard_normal(idx.size)
                 dz[rng.random(idx.size) < 0.2] = -0.0
-                assert product(dz).tobytes() == (g_b @ dz).tobytes()
+                want = g_b @ dz
+                got = np.zeros(want.size)
+                for product in (lower, upper):
+                    if product is not None:
+                        assert product(dz, got) is got
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+                dz[sl.start:] = 0.0               # not yet swept
+                got = lower(dz) if lower is not None else np.zeros(want.size)
+                assert got.tobytes() == (g_b @ dz).tobytes()
                 n_blocks += 1
         assert n_blocks > 0, inst.name
 
@@ -811,18 +896,24 @@ def test_gamma_is_resolved_only_for_the_z_solvers_that_read_it(monkeypatch):
 
 
 @pytest.mark.parametrize("g", [BoxIndicator(72, -1.0, 1.0),
-                               Concat([L1(36), BoxIndicator(36)])])
+                               Concat([L1(36), BoxIndicator(36)]),
+                               GroupL12(72, np.arange(72).reshape(-1, 2))])
 def test_bcd_rejects_g_without_scalar_conj_prox(g):
-    # the box's conjugate prox has no scalar closed form, so the BCD sweep
-    # cannot run it: the config fails before the first iteration
+    # the box's and the group norm's conjugate proxes have no scalar closed
+    # form, so the BCD sweep cannot run them: the config fails before the
+    # first iteration, though their whole-vector kernels (the Moreau
+    # identity) serve the gradient z-solvers and PDHG
+    kind = "GroupL12" if isinstance(g, GroupL12) else "BoxIndicator"
     prob = SaddleProblem(f=Zero(36), g=g, A=Grad2D(6, 6))
     cfg = SolverConfig(algorithm="iprepdhg", tau=0.01, max_outer=3)
-    with pytest.raises(ConfigError, match="BoxIndicator"):
+    with pytest.raises(ConfigError, match=kind):
         validate_config(prob, cfg)
-    with pytest.raises(ConfigError, match="BoxIndicator"):
+    with pytest.raises(ConfigError, match=kind):
         run(prob, cfg)
-    run(prob, SolverConfig(algorithm="iprepdhg", inner="proxgrad", tau=0.01,
-                           max_outer=3))
+    for algorithm, inner in (("iprepdhg", "proxgrad"), ("pdhg", None)):
+        res = run(prob, SolverConfig(algorithm=algorithm, inner=inner,
+                                     tau=0.01, max_outer=3))
+        assert res.outer_iters == 3
 
 
 @pytest.mark.parametrize("field,value", [
@@ -880,7 +971,6 @@ def test_run_binds_the_x_step_prox_once(monkeypatch, algorithm):
 
 
 def test_config_rejects_x_metric_varying_within_a_group():
-    from pdopt.prox import GroupL12
     A = Div2D(3, 3)
     n = A.shape[1] // 2
     f = GroupL12(2 * n, np.column_stack([np.arange(n), n + np.arange(n)]))
@@ -1064,8 +1154,11 @@ def _old_dispatch_step(problem, cfg, resolved):
 
     def step(x_prev, z_prev):
         if cfg.algorithm == "pdhg":
-            x_new, z_new = pdhg_step(x_prev, z_prev, problem, cfg.tau,
-                                     resolved["sigma"], f_prox)
+            sigma = resolved["sigma"]
+            x_new = f_prox(x_prev - cfg.tau * problem.A.rmatvec(z_prev))
+            q = problem.A.matvec(2.0 * x_new - x_prev)
+            z_new = conj_prox(problem.g, z_prev + sigma * q,
+                              np.full(problem.g.dim, 1.0 / sigma))
             return x_new, z_new, None
         x_new = prepdhg_x_step(x_prev, z_prev, problem, m1, f_prox)
         q = problem.A.matvec(2.0 * x_new - x_prev)
@@ -1111,6 +1204,16 @@ def test_run_step_is_the_old_dispatch_byte_for_byte(algorithm, inner, metrics):
     old = {**resolved, "plan": None,
            "step": _old_dispatch_step(prob, cfg, resolved)}
     want = run(prob, cfg, old)
+    if inner is None:
+        # the old dual step took the Moreau route, the bound closed form
+        # matches it to a few ulps: the same iterations, each iterate
+        # within 2e-14 relative
+        assert got.trace.column("k") == want.trace.column("k")
+        np.testing.assert_allclose(got.trace.column("obj"),
+                                   want.trace.column("obj"), rtol=2e-14)
+        for a, b in ((got.state.x, want.state.x), (got.state.z, want.state.z)):
+            assert np.max(np.abs(a - b)) <= 2e-14 * np.max(np.abs(b))
+        return
     if inner != "bcd":
         assert (got.trace.csv_text(omit_time=True)
                 == want.trace.csv_text(omit_time=True))
@@ -1150,7 +1253,9 @@ def test_run_reaches_the_benchmarks_hooks_at_call_time(monkeypatch):
             return _fn(*args, **kw)
         monkeypatch.setattr(owner, name, counting)
     run(prob, configs["pdhg"], resolved["pdhg"])
-    assert sorted(calls) == ["conj_prox"] * 7 + ["pdhg_step"] * 7
+    # the dual step is bound once by validate_config: prox.conj_prox, the
+    # Moreau route, is never called
+    assert sorted(calls) == ["pdhg_step"] * 7
     calls.clear()
     run(prob, configs["bcd"], resolved["bcd"])
     assert sorted(calls) == ["inner_bcd"] * 7 + ["prepdhg_x_step"] * 7
