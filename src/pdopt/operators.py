@@ -31,11 +31,18 @@ class OrderingError(ValueError):
 def _grad_into(u, out, h):
     """Forward differences of the M x N array ``u`` into ``out`` (2, M, N),
     zero last row of channel 1 and last column of channel 2, divided by
-    ``h`` in place (skipped for h == 1: x / 1.0 == x bit for bit)."""
+    ``h`` in place (skipped for h == 1: x / 1.0 == x bit for bit).
+
+    Channel 2 is one contiguous subtraction over row-major ``u``, written
+    into the flat view of ``ch2``; the entries that wrap from one row's
+    end to the next row's start are then overwritten by the zero column.
+    ``out`` must be C-contiguous, so that the flat view writes into it.
+    """
     ch1, ch2 = out
     np.subtract(u[1:], u[:-1], out=ch1[:-1])
     ch1[-1] = 0.0
-    np.subtract(u[:, 1:], u[:, :-1], out=ch2[:, :-1])
+    flat = u.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=ch2.reshape(-1)[:-1])
     ch2[:, -1] = 0.0
     if h != 1.0:
         out /= h
@@ -269,31 +276,28 @@ class SparseOp(LinearOperator):
         return self.mat
 
 
-class StackedOp(LinearOperator):
-    """Vertical stack of operators sharing a common domain."""
+class StackedOp(SparseOp):
+    """Vertical stack of operators sharing a common domain, applied as one
+    ``SparseOp`` of the stacked rows.
+
+    The parts' matrices are stacked once at construction, so every part
+    must implement ``to_sparse`` (every operator in this module does), and
+    ``matvec``/``rmatvec`` are ``SparseOp``'s two bound CSR products.  The
+    forward product is each part's rows in turn.  The adjoint sums each
+    column's terms over all parts in one CSR row, so it agrees with the sum
+    of the parts' adjoints to rounding, not bit for bit.  ``ops`` and
+    ``row_offsets`` (where each part's rows start, then the row count) keep
+    the parts, for block preconditioners that pair with them.
+    """
 
     def __init__(self, ops):
         ncols = {op.shape[1] for op in ops}
         if len(ncols) != 1:
             raise DimensionMismatchError("stacked operators must share a domain")
         self.ops = list(ops)
-        n = ncols.pop()
-        self.row_offsets = np.cumsum([0] + [op.shape[0] for op in ops])
-        self.shape = (int(self.row_offsets[-1]), n)
-
-    def matvec(self, x):
-        x = self._check_forward(x)
-        return np.concatenate([op.matvec(x) for op in self.ops])
-
-    def rmatvec(self, z):
-        z = self._check_adjoint(z)
-        out = np.zeros(self.shape[1])
-        for op, lo, hi in zip(self.ops, self.row_offsets, self.row_offsets[1:]):
-            out += op.rmatvec(z[lo:hi])
-        return out
-
-    def to_sparse(self):
-        return sp.vstack([op.to_sparse() for op in self.ops], format="csr")
+        self.row_offsets = np.cumsum([0] + [op.shape[0] for op in self.ops])
+        super().__init__(sp.vstack([op.to_sparse() for op in self.ops],
+                                   format="csr"))
 
 
 def power_iteration(apply, dim, iters=200, tol=1e-10):

@@ -9,6 +9,7 @@ restart, or a cyclic block-coordinate sweep over color blocks).
 
 import ctypes
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -291,10 +292,12 @@ class BcdPlan:
     operator is A or A's block over those rows; the parts share that
     product's arrays.  Building them also checks the ordering: an
     off-diagonal entry of ``A A^T`` inside a block raises OrderingError.
-    ``products`` holds, per segment, ``None`` for a diagonal one and, for a
-    Gram one, one ``(slice, lower, upper)`` triple per colour block:
-    ``v -> L_b @ v`` and ``(v, out) -> out + U_b @ v``, each bound once
-    (``bind_csr_matvec``), or None for a part with no entries.
+    ``dead`` lists the plan-order ranges of dead rows, one slice per Gram
+    segment that has any.  ``products`` holds, per segment, ``None`` for a
+    diagonal one and, for a Gram one, one ``(slice, lower, upper)`` triple
+    per colour block: ``v -> L_b @ v`` and ``(v, out) -> out + U_b @ v``,
+    each bound once (``bind_csr_matvec``), or None for a part with no
+    entries.
 
     ``bind(g)`` gives every diagonal segment and every colour block its
     scalar conjugate prox of ``g`` at the block's fixed step (``1/e`` or
@@ -352,6 +355,8 @@ class BcdPlan:
         del mat
         self.segments = [seg if seg[0] == "diag" else
                          self._gram_segment(*seg[1:]) for seg in layouts]
+        self.dead = [slice(seg[1] + seg[3].size, seg[2]) for seg in self.segments
+                     if seg[0] == "gram" and seg[1] + seg[3].size < seg[2]]
         self.products = [None if seg[0] == "diag" else
                          [(sl,) + tuple(None if half.nnz == 0 else
                                         bind_csr_matvec(half) for half in halves)
@@ -478,7 +483,9 @@ def inner_bcd(sub, plan, p, plan_order=False):
         raise ConfigError("p must be >= 1")
     if not plan_order:
         sub = plan.subproblem(sub)
-    z = sub.z_ref.copy()
+    z = np.empty(sub.z_ref.size)
+    for dead in plan.dead:      # the sweep writes every other coordinate
+        z[dead] = sub.z_ref[dead]
     _bcd_sweep(sub, plan, z, p, at_ref=True)
     return (z if plan_order else plan.unpermute(z)), p
 
@@ -783,14 +790,31 @@ def validate_config(problem, config):
     z-step that sweeps one (iprepdhg with bcd, prepdhg_exact with bcd under
     a non-diagonal M2); that step takes and returns z in the plan's order
     (``plan.order``) and pairs it with ``plan.op``, and ``run()`` permutes z
-    at the edges of the run.  Raises ConfigError for a configuration that cannot run.
+    at the edges of the run.  Raises ConfigError for a configuration that
+    cannot run, or whose run-control fields would not do what they say:
+    ``p``, ``max_outer`` and ``log_every`` must be integers >= 1;
+    ``tol_delta``, ``tol_residual`` and ``max_seconds``, when set, finite
+    and >= 0; ``phi_star`` finite; and ``tol_delta`` needs ``phi_star``.
     """
     m, n = problem.dims
     cfg = config
     if cfg.algorithm not in ("pdhg", "prepdhg_exact", "iprepdhg"):
         raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
-    if cfg.p < 1:
-        raise ConfigError("inner iteration count p must be >= 1")
+    for name in ("p", "max_outer", "log_every"):
+        value = getattr(cfg, name)
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or value < 1):
+            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    for name in ("tol_delta", "tol_residual", "max_seconds", "phi_star"):
+        value = getattr(cfg, name)
+        if value is None:
+            continue
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)) or (
+                name != "phi_star" and value < 0):
+            kind = "finite" if name == "phi_star" else "finite and >= 0"
+            raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    if cfg.tol_delta is not None and cfg.phi_star is None:
+        raise ConfigError("tol_delta needs phi_star: the gap is measured to it")
     for name in ("tau", "sigma", "gamma"):
         value = getattr(cfg, name)
         if value is None and name != "tau":

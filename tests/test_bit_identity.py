@@ -8,13 +8,18 @@ and read only the swept blocks in a first epoch: the oracle for
 byte-identical results, and for whole BCD solves, which now pair z in plan
 order with a CSR of A, results within 1e-12.  PDHG's step is written out as
 it was before its dual step was bound: through the Moreau route, which the
-bound closed forms match to a few ulps.
+bound closed forms match to a few ulps.  The stacked operator's products
+are written out as they were before it applied as one CSR of its stacked
+rows, part by part: the forward product the same bits, the adjoint and
+whole solves within rounding.  The grid gradient's stencil is written out
+as it was before its horizontal differences became one flat subtraction.
 """
 
 import numpy as np
 import pytest
 
 from pdopt import problems, solver
+from pdopt.operators import Grad2D, SparseOp, StackedOp, _grad_into
 from pdopt.prox import L1, _times_step, conj_prox
 from pdopt.solver import (BcdPlan, ZSubproblem, inner_bcd, run,
                           solve_subproblem_exact, validate_config)
@@ -104,6 +109,32 @@ def _old_step(problem, cfg, resolved):
         return x_new, z_new, sub
 
     return step
+
+
+class _PartByPartStackedOp(StackedOp):
+    """A ``StackedOp`` whose products apply its parts one by one."""
+
+    def matvec(self, x):
+        x = self._check_forward(x)
+        return np.concatenate([op.matvec(x) for op in self.ops])
+
+    def rmatvec(self, z):
+        z = self._check_adjoint(z)
+        out = np.zeros(self.shape[1])
+        for op, lo, hi in zip(self.ops, self.row_offsets, self.row_offsets[1:]):
+            out += op.rmatvec(z[lo:hi])
+        return out
+
+
+def _old_grad_into(u, out, h):
+    ch1, ch2 = out
+    np.subtract(u[1:], u[:-1], out=ch1[:-1])
+    ch1[-1] = 0.0
+    np.subtract(u[:, 1:], u[:, :-1], out=ch2[:, :-1])
+    ch2[:, -1] = 0.0
+    if h != 1.0:
+        out /= h
+    return out
 
 
 def _assert_runs_agree(got, want, name, rtol=1e-12):
@@ -212,3 +243,63 @@ def test_solves_are_the_old_code_byte_for_byte(monkeypatch, algorithm):
             want = run(inst.problem, cfg, resolved)
         _assert_runs_agree(got, want, inst.name,
                            rtol=2e-14 if algorithm == "pdhg" else 1e-12)
+
+
+@pytest.mark.parametrize("h", [1.0, 0.37, -63.75])
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 6), (5, 1), (2, 2), (4, 7),
+                                       (16, 16), (9, 33), (64, 64)])
+def test_grad_stencil_is_the_old_one_byte_for_byte(rows, cols, h):
+    # a negative h is how Grad2D.rmatvec and Div2D.rmatvec fold in the sign
+    rng = np.random.default_rng(54)
+    for u in (_edge_values(rng, rows * cols), np.full(rows * cols, -0.0),
+              rng.standard_normal(rows * cols)):
+        u = u.reshape(rows, cols)
+        got = _grad_into(u, np.empty((2, rows, cols)), h)
+        want = _old_grad_into(u, np.empty((2, rows, cols)), h)
+        assert got.tobytes() == want.tobytes()
+
+
+def _stacked_ops(rng):
+    """The 8x8 CT instance's operator, and stacks with other spacings."""
+    R = problems.synth_line_integral_matrix(8, 8, 6, 10, seed=3)
+    yield problems.ct(R, rng.random(R.shape[0]), lam=0.1, rows=8, cols=8).problem.A
+    for rows, cols, h in ((4, 7, 0.37), (9, 5, 63.75), (1, 6, 1.0)):
+        yield StackedOp([SparseOp(rng.standard_normal((5, rows * cols))),
+                         Grad2D(rows, cols, h)])
+
+
+def test_stacked_products_are_the_part_by_part_ones():
+    # the forward product is the same bits for a unit-spacing gradient
+    # (ct's parts), and divides each term by h before the difference for
+    # another spacing; the adjoint sums each column in one CSR row instead
+    # of adding per-part partial sums.  Both move by rounding only, 1e-14
+    # relative in the max norm of the vector
+    rng = np.random.default_rng(55)
+    for A in _stacked_ops(rng):
+        old = _PartByPartStackedOp(A.ops)
+        for _ in range(3):
+            x = rng.standard_normal(A.shape[1])
+            z = 10.0 * rng.standard_normal(A.shape[0])
+            if A.ops[1].h == 1.0:
+                assert A.matvec(x).tobytes() == old.matvec(x).tobytes()
+            for got, want in ((A.matvec(x), old.matvec(x)),
+                              (A.rmatvec(z), old.rmatvec(z))):
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("algorithm", ["pdhg", "iprepdhg"])
+def test_ct_solves_match_a_part_by_part_operator(algorithm):
+    # a trace row per iteration; the part-by-part run's power iteration and
+    # products move the iterates by rounding only
+    rng = np.random.default_rng(56)
+    R = problems.synth_line_integral_matrix(8, 8, 6, 10, seed=3)
+    inst = problems.ct(R, rng.random(R.shape[0]), lam=0.1, rows=8, cols=8,
+                       tau=0.1)
+    prob = inst.problem
+    old = solver.SaddleProblem(f=prob.f, g=prob.g,
+                               A=_PartByPartStackedOp(prob.A.ops))
+    inner = None if algorithm == "pdhg" else "bcd"
+    cfg = inst.config(algorithm=algorithm, inner=inner,
+                      tau=0.01 if algorithm == "pdhg" else 0.1,
+                      max_outer=30, log_every=1, tol_residual=None)
+    _assert_runs_agree(run(prob, cfg), run(old, cfg), algorithm)

@@ -1,11 +1,14 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdopt import gridio
-from pdopt.cli import (CliError, build_problem, build_solver_config, main,
-                       parse_config, read_config_file)
+from pdopt.cli import (_FLOAT_KEYS, _INT_KEYS, CliError, build_problem,
+                       build_solver_config, main, parse_config,
+                       read_config_file)
 
 
 class _Args:
@@ -74,6 +77,34 @@ def test_type_errors_are_line_precise(tmp_path):
 def test_bad_override_token():
     with pytest.raises(CliError):
         parse_config(_Args(overrides=["no-equals-sign"]))
+
+
+_FINITE = st.floats(allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(floats=st.dictionaries(st.sampled_from(sorted(_FLOAT_KEYS)), _FINITE),
+       ints=st.dictionaries(st.sampled_from(sorted(_INT_KEYS)), st.integers()),
+       lists=st.fixed_dictionaries({}, optional={
+           "taus": st.lists(_FINITE, min_size=1, max_size=5),
+           "ps": st.lists(st.integers(), min_size=1, max_size=5),
+           "seeds": st.lists(st.integers(), min_size=1, max_size=5)}))
+def test_config_file_round_trips(floats, ints, lists):
+    # key=value lines, floats written with repr and lists comma-joined,
+    # read back as the same values (inf, -0.0 and huge ints included)
+    values = {**floats, **ints, **lists}
+    lines = [f"{key}={','.join(map(repr, v)) if isinstance(v, list) else repr(v)}"
+             for key, v in values.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        got = read_config_file(path)
+    assert got == values
+    for key, v in values.items():       # and the same types and signs
+        for a, b in zip(got[key] if isinstance(v, list) else [got[key]],
+                        v if isinstance(v, list) else [v]):
+            assert type(a) is type(b) and repr(a) == repr(b)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +183,24 @@ def test_solve_emd_solution_shape(tmp_path, capsys):
     capsys.readouterr()
     flux = gridio.load_grid_csv(os.path.join(tmp_path, "e_solution.csv"))
     assert flux.shape == (8, 4)     # two channels stacked
+
+
+@pytest.mark.parametrize("line", ["log_every=0", "max_outer=-1",
+                                  "tol_delta=1e-6", "max_seconds=nan"])
+def test_solve_bad_run_control_is_validation_error(noisy_pgm, tmp_path, line,
+                                                   capsys):
+    # one error line and exit 3 before any iteration or artifact, also when
+    # the field comes from a config file
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"problem=tvl1\ninput={noisy_pgm}\n{line}\n")
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(cfgfile), "--output", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert line.split("=")[0] in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_solve_emd_nan_grid_spacing_is_validation_error(tmp_path, capsys):

@@ -261,18 +261,12 @@ def test_inner_bcd_ct_block_plan_is_gauss_seidel():
 
 
 def test_ct_plan_reads_the_gram_rows_from_op(monkeypatch):
-    # problems.ct hands its Grad2D block to ct_block_precond, so the plan
-    # materializes the gradient once (inside A.to_sparse()) and takes the
-    # Gram rows from op; a Gram block over another Grad2D object is
-    # materialized itself, and both plans hold the same bits
+    # problems.ct hands its Grad2D block to ct_block_precond, so the
+    # gradient is materialized once (when the StackedOp stacks its rows)
+    # and the plan takes the Gram rows from op; a Gram block over another
+    # Grad2D object is materialized itself, and both plans hold the same bits
     from pdopt import problems
     from pdopt.precond import ct_block_precond
-    rng = np.random.default_rng(33)
-    R = problems.synth_line_integral_matrix(8, 8, 6, 10, seed=3)
-    inst = problems.ct(R, rng.random(R.shape[0]), lam=0.1, rows=8, cols=8,
-                       tau=0.1)
-    A, m2 = inst.problem.A, inst.recommended["m2"]
-    assert m2.parts[1].A is A.ops[1]
     builds = []
     to_sparse = Grad2D.to_sparse
 
@@ -281,12 +275,18 @@ def test_ct_plan_reads_the_gram_rows_from_op(monkeypatch):
         return to_sparse(self)
 
     monkeypatch.setattr(Grad2D, "to_sparse", counting)
+    rng = np.random.default_rng(33)
+    R = problems.synth_line_integral_matrix(8, 8, 6, 10, seed=3)
+    inst = problems.ct(R, rng.random(R.shape[0]), lam=0.1, rows=8, cols=8,
+                       tau=0.1)
+    A, m2 = inst.problem.A, inst.recommended["m2"]
+    assert m2.parts[1].A is A.ops[1]
     shared = BcdPlan(A, m2)
     assert builds == [A.ops[1]]
     _, m2_own = ct_block_precond(SparseOp(R), 8, 8, 0.1)
     builds.clear()
     own = BcdPlan(A, m2_own)
-    assert len(builds) == 2 and builds[1] is m2_own.parts[1].A
+    assert builds == [m2_own.parts[1].A]
     assert own.order.tobytes() == shared.order.tobytes()
     for a, b in zip(own.segments[1][5], shared.segments[1][5]):
         for x, y in zip(a[1:], b[1:]):
@@ -857,6 +857,35 @@ def test_config_rejects_nonfinite_or_nonpositive_steps(field, value):
         with pytest.raises(ConfigError, match=field):
             validate_config(prob, cfg)
         with pytest.raises(ConfigError):
+            run(prob, cfg)
+
+
+@pytest.mark.parametrize("fields,match", [
+    ({"log_every": 0}, "log_every"), ({"log_every": -2}, "log_every"),
+    ({"log_every": 2.0}, "log_every"), ({"p": 1.5}, "p must"),
+    ({"p": True}, "p must"), ({"max_outer": -1}, "max_outer"),
+    ({"max_outer": 0}, "max_outer"),
+    ({"tol_delta": 1e-6}, "phi_star"),
+    ({"tol_delta": -1e-6, "phi_star": 1.0}, "tol_delta"),
+    ({"tol_delta": float("nan"), "phi_star": 1.0}, "tol_delta"),
+    ({"tol_residual": -1e-8}, "tol_residual"),
+    ({"tol_residual": float("inf")}, "tol_residual"),
+    ({"max_seconds": float("nan")}, "max_seconds"),
+    ({"max_seconds": -1.0}, "max_seconds"),
+    ({"phi_star": float("inf")}, "phi_star"),
+    ({"phi_star": float("nan")}, "phi_star")])
+def test_config_rejects_bad_run_control(fields, match):
+    # rejected before any iteration, on every algorithm: unchecked, a zero
+    # log cadence divides by zero, a negative one logs on a stride, a
+    # fractional p reaches range(), a cap below 1 runs no iteration, a gap
+    # stop without phi_star never fires and a NaN time budget never expires
+    prob = _toy_problem(np.random.default_rng(28))
+    for algorithm, inner in (("pdhg", None), ("iprepdhg", "bcd")):
+        cfg = SolverConfig(algorithm=algorithm, inner=inner, tau=0.01,
+                           **fields)
+        with pytest.raises(ConfigError, match=match):
+            validate_config(prob, cfg)
+        with pytest.raises(ConfigError, match=match):
             run(prob, cfg)
 
 
