@@ -45,7 +45,7 @@ def _metric(d):
     """A metric to bind: a float for a scalar ``d``, so bound constants stay
     scalars, else the array.  Raises unless strictly positive."""
     d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
+    if not np.all(d > 0):       # NaN fails this too
         raise ValueError("diagonal metric must be strictly positive")
     return float(d) if d.ndim == 0 else d
 
@@ -135,7 +135,7 @@ class L1(ProxFunction):
     """lam * ||x - shift||_1."""
 
     def __init__(self, dim, lam=1.0, shift=None):
-        if lam <= 0:
+        if not lam > 0:         # NaN fails this too
             raise ValueError("lam must be positive")
         self.dim = dim
         self.lam = float(lam)
@@ -218,7 +218,7 @@ class GroupL12(ProxFunction):
         flat = np.sort(groups.ravel())
         if flat.size != dim or not np.array_equal(flat, np.arange(dim)):
             raise ValueError("groups must partition the coordinate set")
-        if lam <= 0:
+        if not lam > 0:         # NaN fails this too
             raise ValueError("lam must be positive")
         self.dim = dim
         self.groups = groups
@@ -371,7 +371,7 @@ class Quadratic(ProxFunction):
     """(weight / 2) * ||x - center||^2."""
 
     def __init__(self, dim, weight=1.0, center=None):
-        if weight <= 0:
+        if not weight > 0:      # NaN fails this too
             raise ValueError("weight must be positive")
         self.dim = dim
         self.weight = float(weight)
@@ -417,14 +417,16 @@ class Concat(ProxFunction):
         self.parts = list(parts)
         self.offsets = np.cumsum([0] + [p.dim for p in self.parts])
         self.dim = int(self.offsets[-1])
+        # each part with its coordinate slice, fixed with the parts
+        self._routes = [(p, slice(int(lo), int(hi))) for p, lo, hi in
+                        zip(self.parts, self.offsets, self.offsets[1:])]
 
     def _slices(self):
-        return [(p, slice(lo, hi)) for p, lo, hi in
-                zip(self.parts, self.offsets, self.offsets[1:])]
+        return self._routes
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        return float(sum(p.value(x[sl]) for p, sl in self._slices()))
+        return float(sum([p.value(x[sl]) for p, sl in self._routes]))
 
     def _by_parts(self, bind):
         """A whole-vector kernel that runs ``bind(part, sl)``, each part's

@@ -27,6 +27,7 @@ from .operators import op_norm_sq_estimate
 
 
 EXACT_TOL = 1e-12      # step-norm tolerance of prepdhg_exact's z-subproblem solve
+GAP_BAND = 1e-12       # a gap from a carried A x_k this close to tol_delta is checked exactly
 
 
 class ConfigError(ValueError):
@@ -68,10 +69,16 @@ class SaddleProblem:
     def dims(self):
         return self.A.shape
 
-    def phi(self, x):
+    def phi(self, x, ax=None):
+        """The objective at ``x``: ``objective(x)`` when given, else
+        ``f(x) + g(ax)`` with ``ax`` the product ``A x``, formed here when
+        None.  ``run()`` passes the ``A x_k`` it carries from the step's
+        forward product under a gap stop (see ``run``)."""
         if self.objective is not None:
             return float(self.objective(x))
-        return float(self.f.value(x) + self.g.value(self.A.matvec(x)))
+        if ax is None:
+            ax = self.A.matvec(x)
+        return float(self.f.value(x) + self.g.value(ax))
 
 
 @dataclass
@@ -82,8 +89,11 @@ class SolverConfig:
     problem's feasibility are evaluated on logged iterations (every
     ``log_every``-th and the last); ``phi`` on every iteration only when
     ``tol_delta`` and ``phi_star`` are set, and on the final one when
-    ``phi_star`` is set.  ``RunResult.monitor_s`` reports their cost, which
-    ``time_s`` excludes.
+    ``phi_star`` is set.  Under that gap stop the per-iteration ``phi`` takes
+    its ``A x_k`` from the step's own forward product where the step forms it
+    in A's row order (see ``run``); logged rows, the final iterate and a
+    stop decision use the exact ``phi``.  ``RunResult.monitor_s`` reports
+    their cost, which ``time_s`` excludes.
     """
 
     algorithm: str = "iprepdhg"      # pdhg | prepdhg_exact | iprepdhg
@@ -696,11 +706,14 @@ def admm_dual_step(z, y, v, tau, problem, tol=1e-13, max_iter=500000):
 # ---------------------------------------------------------------------------
 # elementary steps
 
-def pdhg_step(x, z, problem, tau, sigma, f_prox=None, g_conj=None):
-    """One classic PDHG iteration.  ``f_prox`` is ``f.prox_kernel(1/tau)``
-    and ``g_conj`` the dual step ``g.conj_prox_kernel(sigma)``, which
-    ``validate_config`` binds once per run; each is bound here if not
-    given."""
+def pdhg_step(x, z, problem, tau, sigma, f_prox=None, g_conj=None,
+              return_q=False):
+    """One classic PDHG iteration, ``(x_new, z_new)``.  ``f_prox`` is
+    ``f.prox_kernel(1/tau)`` and ``g_conj`` the dual step
+    ``g.conj_prox_kernel(sigma)``, which ``validate_config`` binds once per
+    run; each is bound here if not given.  With ``return_q`` it returns
+    ``(x_new, z_new, q)``, where ``q = A(2 x_new - x)`` is the step's
+    forward product."""
     f, g, A = problem.f, problem.g, problem.A
     if f_prox is None:
         f_prox = f.prox_kernel(1.0 / tau)
@@ -708,7 +721,8 @@ def pdhg_step(x, z, problem, tau, sigma, f_prox=None, g_conj=None):
         g_conj = _conj_prox_at(g, sigma)
     x_new = f_prox(x - tau * A.rmatvec(z))
     q = A.matvec(2.0 * x_new - x)
-    return x_new, g_conj(z + sigma * q)
+    z_new = g_conj(z + sigma * q)
+    return (x_new, z_new, q) if return_q else (x_new, z_new)
 
 
 def prepdhg_x_step(x, z, problem, m1, f_prox=None, A=None):
@@ -775,18 +789,20 @@ def _bind_x_prox(f, d):
 def validate_config(problem, config):
     """Check ``config`` against ``problem`` and resolve what a run needs, once.
 
-    Returns a dict.  Its ``step(x, z) -> (x_new, z_new, sub)`` is the run's
-    iteration: ``pdhg_step`` (``sub`` None), or ``prepdhg_x_step`` and a
-    z-solver of the ZSubproblem ``sub``: for prepdhg_exact the closed form
+    Returns a dict.  Its ``step(x, z) -> (x_new, z_new, sub, q)`` is the
+    run's iteration: ``pdhg_step`` (``sub`` None), or ``prepdhg_x_step`` and
+    a z-solver of the ZSubproblem ``sub``: for prepdhg_exact the closed form
     under a diagonal M2 or ``solve_subproblem_exact``, for iprepdhg ``p``
     steps of ``inner_bcd``, ``inner_proxgrad`` or ``inner_fista_restart``,
-    looked up in this module when called.  The conjugate prox of ``g``
-    that a step reads is a kernel bound once (``_conj_prox_at`` for pdhg
-    and the z-solvers; ``BcdPlan.bind`` for a sweep), so no iteration calls
-    ``prox.conj_prox``.  Also ``f_prox``, the
-    x-step prox of ``f`` bound at ``1/tau`` or ``m1``'s diagonal; ``sigma``
-    (pdhg), else ``m1``, ``m2``, ``plan`` and ``gamma``, None where the
-    z-solver does not read them.  ``plan`` is the bound ``BcdPlan`` of a
+    looked up in this module when called.  ``q`` is the step's forward
+    product ``A(2 x_new - x)`` in A's row order (``sub.q`` for a
+    preconditioned step), or None where the step forms it in a plan's
+    order.  The conjugate prox of ``g`` that a step reads is a kernel bound
+    once (``_conj_prox_at`` for pdhg and the z-solvers; ``BcdPlan.bind``
+    for a sweep), so no iteration calls ``prox.conj_prox``.  Also
+    ``f_prox``, the x-step prox of ``f`` bound at ``1/tau`` or ``m1``'s
+    diagonal; ``sigma`` (pdhg), else ``m1``, ``m2``, ``plan`` and
+    ``gamma``, None where the z-solver does not read them.  ``plan`` is the bound ``BcdPlan`` of a
     z-step that sweeps one (iprepdhg with bcd, prepdhg_exact with bcd under
     a non-diagonal M2); that step takes and returns z in the plan's order
     (``plan.order``) and pairs it with ``plan.op``, and ``run()`` permutes z
@@ -842,7 +858,9 @@ def validate_config(problem, config):
         g_conj = _conj_prox_at(problem.g, sigma)
 
         def step(x, z):
-            return (*pdhg_step(x, z, problem, tau, sigma, f_prox, g_conj), None)
+            x_new, z_new, q = pdhg_step(x, z, problem, tau, sigma, f_prox,
+                                        g_conj, return_q=True)
+            return x_new, z_new, None, q
 
         return {"sigma": sigma, "f_prox": f_prox, "step": step}
     m1 = cfg.m1 if cfg.m1 is not None else scaled_identity(cfg.tau, n)
@@ -880,7 +898,7 @@ def validate_config(problem, config):
         t = 2.0 * x_new
         t -= x
         sub = ZSubproblem(z, A.matvec(t), sub_m2, problem.g)
-        return x_new, z_solve(sub), sub
+        return x_new, z_solve(sub), sub, (sub.q if plan is None else None)
 
     return {"m1": m1, "m2": m2, "f_prox": f_prox, "plan": plan,
             "gamma": gamma, "step": step}
@@ -919,6 +937,21 @@ def run(problem, config, resolved=None):
     and Lyapunov monitors, when on, get z in A's row order.  ``phi`` and
     the feasibility monitor read only x.
 
+    Under a gap stop (``tol_delta`` with ``phi_star``) on a problem without
+    its own ``objective``, the per-iteration ``phi`` reads an ``A x_k``
+    carried from the step's forward product ``q_k = A(2 x_k - x_{k-1})``:
+    ``ax <- (q_k + ax) / 2``, seeded by one ``A.matvec(x0)``, so no
+    iteration applies A a second time for its gap.  The error of ``ax``
+    halves at each step, so it stays at the rounding level of the products:
+    within a few ulps of ``max(|A| |x_k|)``.  It applies where the step
+    hands ``q`` back in A's row order (PDHG and the preconditioned steps
+    without a BCD plan); a plan's step forms ``q`` in plan order, and its
+    gap check applies A afresh.  Logged rows,
+    the final iterate and any iteration whose carried gap is NaN or within
+    ``GAP_BAND`` of ``tol_delta`` (or below it) take the exact ``phi``,
+    whose product reseeds ``ax``: every trace row, ``final_delta`` and the
+    ``converged`` status come from the exact ``phi`` of that iterate.
+
     The run stops with status ``diverged`` when a monitored scalar shows a
     non-finite iterate: ``dz_norm`` not finite, or ``phi`` NaN (an infinite
     ``phi`` can be an indicator's value at a finite iterate).  Both are
@@ -944,13 +977,22 @@ def run(problem, config, resolved=None):
     elapsed = 0.0
     monitor_s = 0.0
 
+    gap_stop = cfg.tol_delta is not None and cfg.phi_star is not None
+    carry = gap_stop and problem.objective is None
+    ax = None                   # A x_k carried from the steps' q (see above)
+    carried = np.empty(m) if carry else None
+
     def in_rows(v):
         return v if plan is None else plan.unpermute(v)
+
+    def gap(obj):
+        num = abs(obj - cfg.phi_star)
+        return 0.0 if num == 0.0 else num / max(abs(cfg.phi_star), 1e-300)
 
     for k in range(1, cfg.max_outer + 1):
         tic = time.perf_counter()
         x_prev, z_prev = state.x, state.z
-        x_new, z_new, sub = step(x_prev, z_prev)
+        x_new, z_new, sub, q = step(x_prev, z_prev)
         state.x, state.z = x_new, z_new
         state.sum_x += x_new
         state.sum_z += z_new
@@ -986,13 +1028,25 @@ def run(problem, config, resolved=None):
         stop_time = cfg.max_seconds is not None and elapsed >= cfg.max_seconds
         final = k == cfg.max_outer or stop_residual or stop_time
         obj = delta = None
-        if logged or (cfg.phi_star is not None
-                      and (cfg.tol_delta is not None or final)):
-            obj = problem.phi(x_new)
-            if cfg.phi_star is not None:
-                num = abs(obj - cfg.phi_star)
-                delta = 0.0 if num == 0.0 else num / max(abs(cfg.phi_star), 1e-300)
-                final_delta = delta
+        if logged or gap_stop or (final and cfg.phi_star is not None):
+            rows_q = carry and q is not None
+            if rows_q and not (logged or final):
+                if ax is None:
+                    ax = problem.A.matvec(x_prev)
+                ax = np.add(q, ax, out=carried)
+                ax *= 0.5
+                obj = problem.phi(x_new, ax)
+                delta = gap(obj)
+                if not delta >= cfg.tol_delta + GAP_BAND:
+                    obj = None          # near or past the stop, or NaN
+            if obj is None:
+                if rows_q:              # exact, and reseeds the carried product
+                    ax = problem.A.matvec(x_new)
+                    obj = problem.phi(x_new, ax)
+                else:
+                    obj = problem.phi(x_new)
+                delta = None if cfg.phi_star is None else gap(obj)
+            final_delta = delta
         if logged:
             feas = problem.feasibility(x_new) if problem.feasibility else None
             trace.add(k=k, obj=obj, delta=delta, feas=feas, dz_norm=dz_norm,

@@ -90,7 +90,8 @@ def _old_pdhg_step(problem, cfg, resolved):
     def step(x, z):
         x_new = f_prox(x - tau * A.rmatvec(z))
         q = A.matvec(2.0 * x_new - x)
-        return x_new, conj_prox(g, z + sigma * q, np.full(g.dim, 1.0 / sigma)), None
+        return (x_new, conj_prox(g, z + sigma * q, np.full(g.dim, 1.0 / sigma)),
+                None, q)
 
     return step
 
@@ -103,10 +104,11 @@ def _old_step(problem, cfg, resolved):
         x_new = _old_prepdhg_x_step(x, z, problem, m1, f_prox)
         sub = ZSubproblem(z, problem.A.matvec(2.0 * x_new - x), m2, problem.g)
         if cfg.algorithm == "prepdhg_exact":
-            return x_new, _old_solve_exact(sub, plan, solver.EXACT_TOL, 200000), sub
+            return (x_new, _old_solve_exact(sub, plan, solver.EXACT_TOL, 200000),
+                    sub, sub.q)
         z_new = sub.z_ref.copy()
         _old_bcd_sweep(sub, plan, z_new, cfg.p, at_ref=True)
-        return x_new, z_new, sub
+        return x_new, z_new, sub, sub.q
 
     return step
 

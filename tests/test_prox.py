@@ -584,3 +584,31 @@ def test_group_l12_rejects_nonpositive_lam_and_metric():
         GroupL12(pairs.size, pairs, lam=0.0)
     with pytest.raises(ValueError, match="strictly positive"):
         GroupL12(pairs.size, pairs).prox_kernel(0.0)
+
+
+# NaN fails ``v > 0``, so each constructor and the metric check reject it
+# instead of binding NaN values and proxes
+
+def test_l1_rejects_nan_lam():
+    with pytest.raises(ValueError, match="lam must be positive"):
+        L1(4, lam=float("nan"))
+
+
+def test_group_l12_rejects_nan_lam():
+    pairs = _group_layouts()[0]
+    with pytest.raises(ValueError, match="lam must be positive"):
+        GroupL12(pairs.size, pairs, lam=float("nan"))
+
+
+def test_quadratic_rejects_nan_weight():
+    with pytest.raises(ValueError, match="weight must be positive"):
+        Quadratic(4, weight=float("nan"))
+
+
+def test_prox_kernel_rejects_a_nan_metric():
+    for phi in _random_kinds(np.random.default_rng(71), 4):
+        for d in (float("nan"), np.array([1.0, np.nan, 2.0, 0.5])):
+            if isinstance(phi, (Zero, PointIndicator, BoxIndicator)):
+                continue        # their prox does not read the metric
+            with pytest.raises(ValueError, match="strictly positive"):
+                phi.prox_kernel(d)

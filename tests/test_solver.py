@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -1174,6 +1175,86 @@ def test_final_delta_is_the_final_iterate_delta(stop):
     assert math.isfinite(res.monitor_s) and res.monitor_s >= 0
 
 
+def _gap_stop_problems():
+    """tvl1 16x16, ct 8x8 and the toy problem, each with PDHG's tau."""
+    from pdopt import problems
+    rng = np.random.default_rng(61)
+    R = problems.synth_line_integral_matrix(8, 8, 6, 10, seed=3)
+    yield "tvl1", problems.tvl1(rng.random((16, 16)), lam=1.0).problem, 0.01
+    yield "ct", problems.ct(R, rng.random(R.shape[0]), lam=0.1, rows=8,
+                            cols=8, tau=0.1).problem, 0.01
+    yield "toy", _toy_problem(rng), 0.05
+
+
+@pytest.mark.parametrize("algorithm,inner", [("pdhg", None),
+                                             ("iprepdhg", "proxgrad")])
+def test_gap_stop_from_the_carried_product_is_the_exact_one(monkeypatch,
+                                                            algorithm, inner):
+    # log_every=10**9 checks the gap from the A x_k carried from the step's
+    # q; log_every=1 logs, and so checks exactly, every iteration.  phi_star
+    # is phi at iteration 2000 of the same run, so the 1e-6 stop comes first
+    for name, prob, tau in _gap_stop_problems():
+        base = SolverConfig(algorithm=algorithm, inner=inner, tau=tau,
+                            max_outer=2000, tol_residual=None, log_every=10 ** 9)
+        phi_star = prob.phi(run(prob, base).state.x)
+        cfg = dataclasses.replace(base, phi_star=phi_star, tol_delta=1e-6)
+        resolved = validate_config(prob, cfg)
+        products = []
+        with monkeypatch.context() as patch:
+            patch.setattr(prob.A, "matvec", lambda x, _mv=prob.A.matvec:
+                          products.append(1) or _mv(x))
+            got = run(prob, cfg, resolved)
+        want = run(prob, dataclasses.replace(cfg, log_every=1))
+        assert got.status == want.status == "converged", name
+        assert got.outer_iters == want.outer_iters < 2000, name
+        assert got.final_delta == want.final_delta, name
+        for a, b in ((got.state.x, want.state.x), (got.state.z, want.state.z),
+                     (got.state.sum_x, want.state.sum_x),
+                     (got.state.sum_z, want.state.sum_z)):
+            assert a.tobytes() == b.tobytes(), name
+        assert got.final_delta == abs(prob.phi(got.state.x) - phi_star) / abs(phi_star)
+        if algorithm == "pdhg":
+            # the step's product, the seed A x0 and the exact final check
+            assert len(products) == got.outer_iters + 2, name
+
+
+def test_carried_product_stays_within_ulps_of_the_exact_one(monkeypatch):
+    # phi_star=0 with tol_delta=0 never stops, so every iteration but the
+    # last checks the gap from the carried A x_k.  Its error follows the
+    # rounding of the step's 2 x_k - x_{k-1} and of the products, whose
+    # scale is |A| |x_k|: measured in ulps of max|A x_k| it read 8 on the
+    # near-flat early TV-L1 iterates (max|A x| 0.017 against max|x| 0.26)
+    for name, prob, tau in list(_gap_stop_problems())[:2]:
+        cfg = SolverConfig(algorithm="pdhg", tau=tau, max_outer=3000,
+                           tol_residual=None, log_every=10 ** 9,
+                           phi_star=0.0, tol_delta=0.0)
+        abs_a = abs(prob.A.to_sparse())
+        ulps = []
+        phi = prob.phi
+
+        def checking(x, ax=None):
+            scale = np.max(abs_a @ np.abs(x))
+            ulps.append(np.max(np.abs(ax - prob.A.matvec(x))) / np.spacing(scale))
+            return phi(x, ax)
+
+        monkeypatch.setattr(prob, "phi", checking)
+        res = run(prob, cfg)
+        assert res.outer_iters == len(ulps) == 3000, name
+        assert max(ulps) <= 8.0, name
+
+
+def test_gap_stop_from_a_nan_start_stops_diverged():
+    prob = _toy_problem(np.random.default_rng(62))
+    x0 = np.zeros(prob.dims[1])
+    x0[7] = np.nan
+    cfg = SolverConfig(algorithm="pdhg", tau=0.05, max_outer=100,
+                       log_every=10 ** 9, tol_residual=None, phi_star=9.0,
+                       tol_delta=1e-6, x0=x0)
+    res = run(prob, cfg)
+    assert (res.status, res.outer_iters) == ("diverged", 1)
+    assert math.isnan(res.final_delta)
+
+
 # The per-iteration dispatch run() made before validate_config chose the
 # step once, written out as it was: the oracle for byte-identical runs.
 
@@ -1188,7 +1269,7 @@ def _old_dispatch_step(problem, cfg, resolved):
             q = problem.A.matvec(2.0 * x_new - x_prev)
             z_new = conj_prox(problem.g, z_prev + sigma * q,
                               np.full(problem.g.dim, 1.0 / sigma))
-            return x_new, z_new, None
+            return x_new, z_new, None, q
         x_new = prepdhg_x_step(x_prev, z_prev, problem, m1, f_prox)
         q = problem.A.matvec(2.0 * x_new - x_prev)
         sub = ZSubproblem(z_prev, q, m2, problem.g)
@@ -1206,7 +1287,7 @@ def _old_dispatch_step(problem, cfg, resolved):
             z_new, _ = inner_proxgrad(sub, resolved["gamma"], cfg.p)
         else:
             z_new, _ = inner_fista_restart(sub, resolved["gamma"], cfg.p)
-        return x_new, z_new, sub
+        return x_new, z_new, sub, q
 
     return step
 
