@@ -42,12 +42,16 @@ def _times_step(t, const, idx):
 
 
 def _metric(d):
-    """A metric to bind: a float for a scalar ``d``, so bound constants stay
-    scalars, else the array.  Raises unless strictly positive."""
+    """A metric to bind: a float for a scalar ``d`` or an array of one value
+    (a scaled identity's diagonal), so bound constants stay scalars and each
+    kernel pass reads one array less, else the array.  Raises unless
+    strictly positive."""
     d = np.asarray(d, dtype=float)
     if not np.all(d > 0):       # NaN fails this too
         raise ValueError("diagonal metric must be strictly positive")
-    return float(d) if d.ndim == 0 else d
+    if d.ndim == 0 or d.size and d.min() == d.max():
+        return float(d.flat[0])
+    return d
 
 
 class ProxFunction:
@@ -152,15 +156,15 @@ class L1(ProxFunction):
 
     def prox_kernel(self, d):
         shift, thr = self.shift, self.lam / _metric(d)
+        neg = -thr
 
         def kernel(v):
-            # shift + sign(w) * max(|w| - thr, 0), one temporary
+            # shift + (w - clip(w, -thr, thr)) in four passes: the values of
+            # shift + sign(w) * max(|w| - thr, 0), where |w| <= thr gives
+            # w - w = +0.0, so only a zero's sign can differ (a -0.0 shift)
             w = np.asarray(v, dtype=float) - shift
-            out = np.abs(w)
-            out -= thr
-            np.maximum(out, 0.0, out=out)
-            np.multiply(np.sign(w), out, out=out)
-            return np.add(shift, out, out=out)
+            np.subtract(w, _clip(w, neg, thr), out=w)
+            return np.add(shift, w, out=w)
         return kernel
 
     def conjugate_value(self, y, feas_tol=1e-8):
@@ -422,6 +426,8 @@ class Concat(ProxFunction):
                         zip(self.parts, self.offsets, self.offsets[1:])]
 
     def _slices(self):
+        # kept for the frozen acceptance test 01, whose oracle calls it; the
+        # methods here read _routes
         return self._routes
 
     def value(self, x):
@@ -431,7 +437,7 @@ class Concat(ProxFunction):
     def _by_parts(self, bind):
         """A whole-vector kernel that runs ``bind(part, sl)``, each part's
         kernel bound once, on the part's slice."""
-        routes = [(sl, bind(p, sl)) for p, sl in self._slices()]
+        routes = [(sl, bind(p, sl)) for p, sl in self._routes]
         dim = self.dim
 
         def kernel(v):
@@ -448,7 +454,7 @@ class Concat(ProxFunction):
 
     def conjugate_value(self, y, feas_tol=1e-8):
         y = np.asarray(y, dtype=float)
-        return float(sum(p.conjugate_value(y[sl], feas_tol) for p, sl in self._slices()))
+        return float(sum(p.conjugate_value(y[sl], feas_tol) for p, sl in self._routes))
 
     def conj_prox_kernel(self, t, idx=None):
         # the whole vector binds each part's whole-vector kernel; coordinates
@@ -459,7 +465,7 @@ class Concat(ProxFunction):
                 lambda p, sl: p.conj_prox_kernel(t[sl] if np.ndim(t) else t))
         idx = np.asarray(idx, dtype=int)
         routes = []
-        for p, sl in self._slices():
+        for p, sl in self._routes:
             mask = (idx >= sl.start) & (idx < sl.stop)
             if not mask.any():
                 continue
@@ -479,7 +485,7 @@ class Concat(ProxFunction):
         z = np.asarray(z, dtype=float)
         s = np.asarray(s, dtype=float)
         out = np.empty(self.dim)
-        for p, sl in self._slices():
+        for p, sl in self._routes:
             out[sl] = p.conj_residual(z[sl], s[sl])
         return out
 

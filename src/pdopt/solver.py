@@ -305,9 +305,19 @@ class BcdPlan:
     ``dead`` lists the plan-order ranges of dead rows, one slice per Gram
     segment that has any.  ``products`` holds, per segment, ``None`` for a
     diagonal one and, for a Gram one, one ``(slice, lower, upper)`` triple
-    per colour block: ``v -> L_b @ v`` and ``(v, out) -> out + U_b @ v``,
-    each bound once (``bind_csr_matvec``), or None for a part with no
-    entries.
+    per colour block: ``(v, out) -> out + L_b @ v`` and the same with
+    ``U_b``, each bound once (``bind_csr_matvec``), or None for a part with
+    no entries.
+
+    A sweep's right-hand side is ``c = z_ref + S q``, with ``q = A t`` in
+    plan order and ``S`` the rows' steps: ``1/e`` on a diagonal segment,
+    ``inv_h`` on a Gram segment's live rows, nothing on dead rows (``c``
+    holds ``z_ref`` there).  ``rhs(z_ref, q)`` forms it from ``q``, as the
+    row-order entry points do.  ``forward_rhs(z_ref, t)`` forms it from
+    ``t`` without a ``q``: ``op``'s bound product accumulates ``A t`` into
+    ``S^-1 z_ref``, then the rows are scaled by ``S`` in place (a step that
+    is the same on all of a segment's rows is held as a float).  The two
+    agree up to rounding.  The sweep then writes the new z over ``c``.
 
     ``bind(g)`` gives every diagonal segment and every colour block its
     scalar conjugate prox of ``g`` at the block's fixed step (``1/e`` or
@@ -372,6 +382,23 @@ class BcdPlan:
                                         bind_csr_matvec(half) for half in halves)
                           for sl, *halves in seg[5]]
                          for seg in self.segments]
+        self._forward = bind_csr_matvec(self.op.mat)
+        self._row_steps = [self._steps_of(seg) for seg in self.segments]
+
+    @staticmethod
+    def _steps_of(seg):
+        """``(rows, 1/s, s)`` of one segment: its rows that the sweep solves
+        and their step ``s`` (``1/e``, or ``inv_h`` on a Gram segment's live
+        rows), each a float when it is the same on every row."""
+        if seg[0] == "diag":
+            _, lo, hi, e = seg
+            rows, inv_step, step = slice(lo, hi), e, 1.0 / e
+        else:
+            _, lo, _, idx, inv_h, _ = seg
+            rows, inv_step, step = slice(lo, lo + idx.size), 1.0 / inv_h, inv_h
+        if step.size and step.min() == step.max():
+            inv_step, step = float(inv_step[0]), float(step[0])
+        return rows, inv_step, step
 
     @staticmethod
     def _gram_layout(d, tau, ridge, blocks):
@@ -461,8 +488,35 @@ class BcdPlan:
 
     def subproblem(self, sub):
         """``sub`` in plan order.  It carries no metric: M2 acts in A's row
-        order, and the sweep reads only ``z_ref``, ``q`` and ``g``."""
+        order, and the sweep reads only ``z_ref`` and ``g`` (and ``rhs``
+        its ``q``)."""
         return ZSubproblem(self.permute(sub.z_ref), self.permute(sub.q), None, sub.g)
+
+    def rhs(self, z_ref, q):
+        """The sweep's right-hand side ``z_ref + S q`` from ``q = A t``, both
+        in plan order: a new array."""
+        c = z_ref.copy()
+        for rows, _, step in self._row_steps:
+            c[rows] += q[rows] * step
+        return c
+
+    def forward_rhs(self, z_ref, t):
+        """``S (S^-1 z_ref + A t)`` in plan order from the primal vector
+        ``t``: a new array, ``rhs(z_ref, op.matvec(t))`` up to rounding.
+
+        The forward product accumulates into ``S^-1 z_ref`` (one bound CSR
+        product of ``op``'s matrix), and one in-place pass scales the rows
+        by their steps, so each row sums A's terms before it is scaled, as
+        ``q`` does, and no ``q`` is formed.  Dead rows take ``z_ref``'s bits."""
+        c = np.empty(z_ref.size)
+        for rows, inv_step, _ in self._row_steps:
+            np.multiply(z_ref[rows], inv_step, out=c[rows])
+        self._forward(t, c)
+        for rows, _, step in self._row_steps:
+            c[rows] *= step
+        for dead in self.dead:
+            c[dead] = z_ref[dead]
+        return c
 
     def bind(self, g):
         """The per-segment kernels of ``g``: one for a diagonal segment, a
@@ -482,42 +536,43 @@ class BcdPlan:
         return self.kernels
 
 
-def inner_bcd(sub, plan, p, plan_order=False):
+def inner_bcd(sub, plan, p, rhs=None):
     """p epochs of cyclic proximal BCD; each block update is an exact closed form.
 
     ``sub`` and the returned z are in A's row order, permuted into the
-    plan's order for the sweep and back; with ``plan_order`` they are in
-    plan order already, as ``run()`` keeps them.
+    plan's order for the sweep and back; the sweep's right-hand side is
+    formed from ``sub.q`` (``BcdPlan.rhs``).  With ``rhs``, the right-hand
+    side a step formed from its forward product (``BcdPlan.forward_rhs``),
+    ``sub`` is in plan order, ``sub.q`` is not read, and z comes back in
+    plan order, written over ``rhs``.
     """
     if p < 1:
         raise ConfigError("p must be >= 1")
-    if not plan_order:
-        sub = plan.subproblem(sub)
-    z = np.empty(sub.z_ref.size)
-    for dead in plan.dead:      # the sweep writes every other coordinate
-        z[dead] = sub.z_ref[dead]
-    _bcd_sweep(sub, plan, z, p, at_ref=True)
-    return (z if plan_order else plan.unpermute(z)), p
+    if rhs is not None:
+        return _bcd_sweep(sub, plan, rhs, p), p
+    sub = plan.subproblem(sub)
+    return plan.unpermute(_bcd_sweep(sub, plan, plan.rhs(sub.z_ref, sub.q), p)), p
 
 
 def solve_subproblem_exact(sub, tol=EXACT_TOL, max_iter=200000, gamma=None,
-                           plan=None, plan_order=False):
+                           plan=None, rhs=None):
     """Iterate an inner solver (BCD epochs under a ``plan``, else FISTA with
     restart) until the step norm falls below tol: an "exact" solve for
     equivalence oracles and the reference engine.  Under a plan, ``sub``
-    and the result are in A's row order, or with ``plan_order`` in the
-    plan's (see ``inner_bcd``)."""
+    and the result are in A's row order, or with ``rhs`` in the plan's
+    (see ``inner_bcd``); ``rhs`` is then left as it is."""
     if plan is None:
         if gamma is None:
             gamma = 1.0 / max(m2_norm_estimate(sub.m2), 1e-30)
         return _fista_restart(sub.z_ref, sub.grad_quad, sub.objective,
                               _conj_prox_at(sub.g, gamma), gamma, max_iter, tol)
+    plan_order = rhs is not None
     if not plan_order:
         sub = plan.subproblem(sub)
+        rhs = plan.rhs(sub.z_ref, sub.q)
     z = sub.z_ref
     for _ in range(max_iter):
-        z_new = z.copy()
-        _bcd_sweep(sub, plan, z_new, 1)
+        z_new = _bcd_sweep(sub, plan, rhs.copy(), 1, z)
         done = _small_step(z_new, z, tol)
         z = z_new
         if done:
@@ -525,48 +580,51 @@ def solve_subproblem_exact(sub, tol=EXACT_TOL, max_iter=200000, gamma=None,
     return z if plan_order else plan.unpermute(z)
 
 
-def _bcd_sweep(sub, plan, z, epochs, at_ref=False):
-    """`epochs` in-place BCD epochs over z; ``sub`` and z are in plan order,
-    and ``at_ref`` says z equals z_ref.
+def _bcd_sweep(sub, plan, c, epochs, z=None):
+    """``epochs`` BCD epochs in plan order, from z (from ``sub.z_ref`` when
+    None); the new z is written over ``c``, the right-hand side
+    ``z_ref + S q`` (see ``BcdPlan``), and returned.
 
-    A diagonal segment does not depend on z, so it is solved once.  A Gram
-    segment reads z_ref and q over its live range as views and forms
-    c = z_ref + q/h; block b then sets dz_b = kernel_b(c_b - G_b dz) - z_ref_b
-    with dz = z - z_ref, and z_ref + dz is written into the live range of z.
-    ``G_b dz`` is ``L_b dz`` with ``U_b dz`` added into the same output
-    (see ``BcdPlan``).  In a first epoch from z_ref the blocks not yet swept
-    have dz = 0, so it reads ``L_b`` only, the same bits as ``G_b dz`` (the
-    terms it drops are signed zeros added to a sum that starts at +0.0),
-    and dz starts uninitialized.  A missing part is skipped: ``G_b @ 0`` is
-    +0.0 and c - 0.0 == c bit for bit.  Each difference is written into an
-    array the sweep owns (c, the product's fresh output, dz); addition
-    commutes bit for bit, so the results are those of the plain expressions.
+    A diagonal segment does not depend on z: it is solved once, in place.
+    A Gram segment carries ``e = z_ref - z`` over its live range.  Block b
+    sets ``e_b = z_ref_b - kernel_b(c_b + G_b e)``, the block minimizer
+    ``kernel_b(c_b - G_b dz)`` with ``dz = z - z_ref = -e``.  ``G_b e`` is
+    ``L_b e`` and then ``U_b e`` accumulated into a copy of ``c_b`` (see
+    ``BcdPlan``), or into ``c_b`` itself in the last epoch, which reads it
+    for the last time, so no zero fill and no subtraction pass; with no
+    product to add the kernel reads ``c_b`` as it is.  In a first epoch
+    from z_ref the blocks not yet swept have ``e = 0``, so it reads
+    ``L_b`` only and e starts uninitialized.  After the last epoch the live
+    range of ``c`` becomes ``z_ref - e``, which is ``z_ref + dz`` bit for
+    bit.  Dead rows of ``c`` are not touched.
     """
     for seg, kernel, products in zip(plan.segments, plan.bind(sub.g),
                                      plan.products):
         if seg[0] == "diag":
-            _, lo, hi, e = seg
-            z[lo:hi] = kernel(sub.z_ref[lo:hi] + sub.q[lo:hi] / e)
-        else:
-            _, lo, _, idx, inv_h, _ = seg
-            live = slice(lo, lo + idx.size)
-            z_ref = sub.z_ref[live]
-            c = sub.q[live] * inv_h
-            c += z_ref
-            dz = np.empty(idx.size) if at_ref else z[live] - z_ref
-            first = at_ref          # dz holds only the blocks swept so far
-            for _ in range(epochs):
-                for (sl, lower, upper), block_kernel in zip(products, kernel):
-                    v = None if lower is None else lower(dz)
-                    if upper is not None and not first:
-                        v = upper(dz, v)
-                    if v is None:
-                        v = c[sl]
-                    else:
-                        np.subtract(c[sl], v, out=v)
-                    np.subtract(block_kernel(v), z_ref[sl], out=dz[sl])
-                first = False
-            np.add(dz, z_ref, out=z[live])
+            _, lo, hi, _ = seg
+            c[lo:hi] = kernel(c[lo:hi])
+            continue
+        _, lo, _, idx, _, _ = seg
+        live = slice(lo, lo + idx.size)
+        z_ref, rhs = sub.z_ref[live], c[live]
+        first = z is None       # e holds only the blocks swept so far
+        e = np.empty(idx.size) if first else z_ref - z[live]
+        for epoch in range(epochs, 0, -1):
+            for (sl, lower, upper), block_kernel in zip(products, kernel):
+                if first:
+                    upper = None
+                v = rhs[sl]
+                if lower is not None or upper is not None:
+                    if epoch > 1:
+                        v = v.copy()
+                    if lower is not None:
+                        lower(e, v)
+                    if upper is not None:
+                        upper(e, v)
+                np.subtract(z_ref[sl], block_kernel(v), out=e[sl])
+            first = False
+        np.subtract(z_ref, e, out=rhs)
+    return c
 
 
 def m2_norm_estimate(m2, iters=200, tol=1e-10):
@@ -796,21 +854,25 @@ def validate_config(problem, config):
     steps of ``inner_bcd``, ``inner_proxgrad`` or ``inner_fista_restart``,
     looked up in this module when called.  ``q`` is the step's forward
     product ``A(2 x_new - x)`` in A's row order (``sub.q`` for a
-    preconditioned step), or None where the step forms it in a plan's
-    order.  The conjugate prox of ``g`` that a step reads is a kernel bound
-    once (``_conj_prox_at`` for pdhg and the z-solvers; ``BcdPlan.bind``
-    for a sweep), so no iteration calls ``prox.conj_prox``.  Also
-    ``f_prox``, the x-step prox of ``f`` bound at ``1/tau`` or ``m1``'s
-    diagonal; ``sigma`` (pdhg), else ``m1``, ``m2``, ``plan`` and
-    ``gamma``, None where the z-solver does not read them.  ``plan`` is the bound ``BcdPlan`` of a
-    z-step that sweeps one (iprepdhg with bcd, prepdhg_exact with bcd under
-    a non-diagonal M2); that step takes and returns z in the plan's order
-    (``plan.order``) and pairs it with ``plan.op``, and ``run()`` permutes z
-    at the edges of the run.  Raises ConfigError for a configuration that
-    cannot run, or whose run-control fields would not do what they say:
-    ``p``, ``max_outer`` and ``log_every`` must be integers >= 1;
-    ``tol_delta``, ``tol_residual`` and ``max_seconds``, when set, finite
-    and >= 0; ``phi_star`` finite; and ``tol_delta`` needs ``phi_star``.
+    preconditioned step), or None for a step that sweeps a plan: it
+    accumulates its forward product straight into the sweep's right-hand
+    side (``BcdPlan.forward_rhs``), so it forms no ``q`` and its ``sub``
+    holds only ``z_ref`` (plan order) and ``g``.  The conjugate prox of
+    ``g`` that a step reads is a kernel bound once (``_conj_prox_at`` for
+    pdhg and the z-solvers; ``BcdPlan.bind`` for a sweep), so no iteration
+    calls ``prox.conj_prox``.  Also ``f_prox``, the x-step prox of ``f``
+    bound at ``1/tau`` or ``m1``'s diagonal; ``sigma`` (pdhg), else
+    ``m1``, ``m2``, ``plan`` and ``gamma``, None where the z-solver does
+    not read them.  ``plan`` is the bound ``BcdPlan`` of a z-step that
+    sweeps one (iprepdhg with bcd, prepdhg_exact with bcd under a
+    non-diagonal M2); that step takes and returns z in the plan's order
+    (``plan.order``) and pairs it with ``plan.op``, and ``run()`` permutes
+    z at the edges of the run.  Raises ConfigError for a configuration that
+    cannot run, or whose fields would not do what they say: pdhg takes no
+    ``inner``, ``m1``, ``m2`` or ``gamma``; ``p``, ``max_outer`` and
+    ``log_every`` must be integers >= 1; ``tol_delta``, ``tol_residual``
+    and ``max_seconds``, when set, finite and >= 0; ``phi_star`` finite;
+    and ``tol_delta`` needs ``phi_star``.
     """
     m, n = problem.dims
     cfg = config
@@ -846,8 +908,12 @@ def validate_config(problem, config):
         if metric is not None and metric.dim != dim:
             raise ConfigError(f"{name} is {metric.dim}-dim, A is {m}x{n}")
     if cfg.algorithm == "pdhg":
-        if cfg.inner is not None:
-            raise ConfigError("pdhg takes no inner iterator")
+        # fields only the preconditioned steps read; pdhg_step would
+        # silently ignore them
+        for name in ("inner", "m1", "m2", "gamma"):
+            if getattr(cfg, name) is not None:
+                what = "inner iterator" if name == "inner" else name
+                raise ConfigError(f"pdhg takes no {what}: its steps are tau and sigma")
         tau, sigma = cfg.tau, cfg.sigma
         norm_sq = op_norm_sq_estimate(problem.A)
         if sigma is None:
@@ -890,15 +956,24 @@ def validate_config(problem, config):
             gamma = 1.0 / max(m2_norm_estimate(m2), 1e-30)
     z_solve = _z_solver(cfg.algorithm, closed_form, inner, problem.g, m2, plan,
                         gamma, cfg.p)
-    # a z-step that sweeps a plan works in its order, where M2 does not act
-    A, sub_m2 = (problem.A, m2) if plan is None else (plan.op, None)
 
-    def step(x, z):
-        x_new = prepdhg_x_step(x, z, problem, m1, f_prox, A)
-        t = 2.0 * x_new
-        t -= x
-        sub = ZSubproblem(z, A.matvec(t), sub_m2, problem.g)
-        return x_new, z_solve(sub), sub, (sub.q if plan is None else None)
+    if plan is None:
+        def step(x, z):
+            x_new = prepdhg_x_step(x, z, problem, m1, f_prox)
+            t = 2.0 * x_new
+            t -= x
+            sub = ZSubproblem(z, problem.A.matvec(t), m2, problem.g)
+            return x_new, z_solve(sub), sub, sub.q
+    else:
+        # a z-step that sweeps a plan works in its order, where M2 does not
+        # act; its forward product goes straight into the sweep's
+        # right-hand side, so no q is formed
+        def step(x, z):
+            x_new = prepdhg_x_step(x, z, problem, m1, f_prox, plan.op)
+            t = 2.0 * x_new
+            t -= x
+            sub = ZSubproblem(z, None, None, problem.g)
+            return x_new, z_solve(sub, plan.forward_rhs(z, t)), sub, None
 
     return {"m1": m1, "m2": m2, "f_prox": f_prox, "plan": plan,
             "gamma": gamma, "step": step}
@@ -907,19 +982,21 @@ def validate_config(problem, config):
 def _z_solver(algorithm, closed_form, inner, g, m2, plan, gamma, p):
     """The z-step ``sub -> z_new`` of a preconditioned algorithm;
     ``closed_form`` says it is prepdhg_exact under a diagonal M2.  Under a
-    plan, ``sub`` and z_new are in plan order.  The conjugate prox of ``g``
-    that a step reads is bound here, once per run: at ``1/d2`` for the
-    closed form, at ``gamma`` for the gradient inner iterators (the exact
-    solve binds its own per solve)."""
+    plan it is ``(sub, rhs) -> z_new``, all in plan order, with ``rhs`` the
+    sweep's right-hand side (``BcdPlan.forward_rhs``).  The conjugate prox
+    of ``g`` that a step reads is bound here, once per run: at ``1/d2`` for
+    the closed form, at ``gamma`` for the gradient inner iterators (the
+    exact solve binds its own per solve)."""
     if closed_form:
         d2 = m2.diagonal()
         g_conj = _conj_prox_at(g, 1.0 / d2)
         return lambda sub: g_conj(sub.z_ref + sub.q / d2)
     if algorithm == "prepdhg_exact":
-        return lambda sub: solve_subproblem_exact(sub, gamma=gamma, plan=plan,
-                                                  plan_order=plan is not None)
+        if plan is None:
+            return lambda sub: solve_subproblem_exact(sub, gamma=gamma)
+        return lambda sub, rhs: solve_subproblem_exact(sub, plan=plan, rhs=rhs)
     if inner == "bcd":
-        return lambda sub: inner_bcd(sub, plan, p, plan_order=True)[0]
+        return lambda sub, rhs: inner_bcd(sub, plan, p, rhs)[0]
     conj_prox = _conj_prox_at(g, gamma)
     if inner == "proxgrad":
         return lambda sub: inner_proxgrad(sub, gamma, p, conj_prox)[0]
@@ -934,7 +1011,10 @@ def run(problem, config, resolved=None):
     here.  When the z-step sweeps a BCD plan, z stays in the plan's order
     for the whole loop: ``z0`` is permuted into it on the way in, and
     ``state.z`` and ``sum_z`` back out of it on the way out; the err-ratio
-    and Lyapunov monitors, when on, get z in A's row order.  ``phi`` and
+    and Lyapunov monitors, when on, get z in A's row order.  Such a step
+    forms no ``q`` (its forward product goes into the sweep's right-hand
+    side, a new buffer that becomes ``z_new``), so the err-ratio monitor
+    forms ``A(2 x_new - x_prev)`` itself, in A's row order.  ``phi`` and
     the feasibility monitor read only x.
 
     Under a gap stop (``tol_delta`` with ``phi_star``) on a problem without
@@ -945,12 +1025,12 @@ def run(problem, config, resolved=None):
     halves at each step, so it stays at the rounding level of the products:
     within a few ulps of ``max(|A| |x_k|)``.  It applies where the step
     hands ``q`` back in A's row order (PDHG and the preconditioned steps
-    without a BCD plan); a plan's step forms ``q`` in plan order, and its
-    gap check applies A afresh.  Logged rows,
-    the final iterate and any iteration whose carried gap is NaN or within
-    ``GAP_BAND`` of ``tol_delta`` (or below it) take the exact ``phi``,
-    whose product reseeds ``ax``: every trace row, ``final_delta`` and the
-    ``converged`` status come from the exact ``phi`` of that iterate.
+    without a BCD plan); a plan's step forms no ``q``, and its gap check
+    applies A afresh.  Logged rows, the final iterate and any iteration
+    whose carried gap is NaN or within ``GAP_BAND`` of ``tol_delta`` (or
+    below it) take the exact ``phi``, whose product reseeds ``ax``: every
+    trace row, ``final_delta`` and the ``converged`` status come from the
+    exact ``phi`` of that iterate.
 
     The run stops with status ``diverged`` when a monitored scalar shows a
     non-finite iterate: ``dz_norm`` not finite, or ``phi`` NaN (an infinite
@@ -1001,7 +1081,9 @@ def run(problem, config, resolved=None):
         err_ratio = None
         if cfg.monitor_err_ratio and sub is not None:
             if plan is not None:        # the monitor reads A's row order
-                sub = ZSubproblem(in_rows(z_prev), in_rows(sub.q),
+                t = 2.0 * x_new
+                t -= x_prev
+                sub = ZSubproblem(in_rows(z_prev), problem.A.matvec(t),
                                   resolved["m2"], problem.g)
             try:
                 _, err_ratio = relative_error_residual(sub.z_ref, in_rows(z_new), sub)

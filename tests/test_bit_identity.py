@@ -73,6 +73,17 @@ def _old_l1_conj_prox_kernel(self, t, idx):
     return lambda v: np.clip(v - ts, -lam, lam)
 
 
+def _seven_pass_l1_prox(phi, v, d):
+    """``L1.prox_kernel(d)(v)`` as it was: shift + sign(w) * max(|w| - thr, 0)."""
+    thr = phi.lam / d
+    w = np.asarray(v, dtype=float) - phi.shift
+    out = np.abs(w)
+    out -= thr
+    np.maximum(out, 0.0, out=out)
+    np.multiply(np.sign(w), out, out=out)
+    return np.add(phi.shift, out, out=out)
+
+
 def _old_l1_value(self, x):
     return self.lam * float(np.sum(np.abs(np.asarray(x) - self.shift)))
 
@@ -171,30 +182,46 @@ def _edge_values(rng, n):
     return v
 
 
+def _assert_sweeps_agree(got, want, z_ref, dead, name):
+    """Within 1e-13 relative in the max norm of the vector; on dead rows
+    the bits of z_ref, -0.0 included."""
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+    assert got[dead].tobytes() == z_ref[dead].tobytes() == want[dead].tobytes(), name
+
+
 @pytest.mark.filterwarnings("ignore:zero row sums")
 def test_bcd_sweep_is_the_old_sweep_byte_for_byte():
+    # the sweep now carries e = z_ref - z and accumulates c_b + L_b e (+ U_b
+    # e) into a copy of c_b in csr_matvec's order, where the old one
+    # subtracted G_b dz, summed from zero, from c_b: the same iterates up
+    # to rounding, no longer the same bits; dead rows are never touched
     rng = np.random.default_rng(52)
     for inst, tau in _instances():
         cfg = inst.config(algorithm="iprepdhg", inner="bcd", tau=tau)
         m2 = cfg.m2
         plan = BcdPlan(inst.problem.A, m2)
         m = inst.problem.dims[0]
+        is_dead = np.zeros(m, dtype=bool)
+        for sl in plan.dead:
+            is_dead[sl] = True
+        dead = plan.order[is_dead]      # rows of A; EMD's Div2D has none
+        assert dead.size or inst.name == "emd"
         for g in (inst.problem.g, L1(m, lam=0.6, shift=rng.standard_normal(m))):
             z_ref = rng.standard_normal(m)
             z_ref[rng.random(m) < 0.1] = -0.0
+            z_ref[dead[::2]] = -0.0
             sub = ZSubproblem(z_ref, 5.0 * rng.standard_normal(m), m2, g)
             for p in (1, 2, 3):
                 got = inner_bcd(sub, plan, p)[0]
                 want = sub.z_ref.copy()
                 _old_bcd_sweep(sub, BcdPlan(inst.problem.A, m2), want, p,
                                at_ref=True)
-                assert got.tobytes() == want.tobytes(), (inst.name, p)
+                _assert_sweeps_agree(got, want, z_ref, dead, (inst.name, p))
             # from points other than z_ref: the sweep's not-at-ref path
-            got = [solve_subproblem_exact(sub, tol=tol, max_iter=4, plan=plan)
-                   for tol in (1e-12, 1e-1)]
-            want = [_old_solve_exact(sub, BcdPlan(inst.problem.A, m2), tol, 4)
-                    for tol in (1e-12, 1e-1)]
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            for tol in (1e-12, 1e-1):
+                got = solve_subproblem_exact(sub, tol=tol, max_iter=4, plan=plan)
+                want = _old_solve_exact(sub, BcdPlan(inst.problem.A, m2), tol, 4)
+                _assert_sweeps_agree(got, want, z_ref, dead, (inst.name, tol))
 
 
 @pytest.mark.parametrize("shift", ["zero", "negative-zero", "random", "edges"])
@@ -216,6 +243,37 @@ def test_l1_kernel_and_value_are_the_old_ones_byte_for_byte(shift):
               np.full(n, -0.0), np.arange(n) - 7):
         got, want = phi.value(x), _old_l1_value(phi, x)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("metric", ["scalar", "constant", "varying"])
+def test_l1_prox_kernel_is_the_seven_pass_formula(metric):
+    # shift + (w - clip(w, -thr, thr)): the same bits where neither the
+    # shift nor the input holds -0.0 or NaN; else equal values, a zero's
+    # sign differing only where the shift holds -0.0, NaN where NaN
+    rng = np.random.default_rng(57)
+    n = 64
+    d = {"scalar": 2.5, "constant": np.full(n, 0.7),
+         "varying": rng.uniform(0.2, 5.0, n)}[metric]
+    plain = 3.0 * rng.standard_normal(n)
+    plain[:4] = [np.inf, -np.inf, 0.0, 1.25]        # 1.25 = lam / 0.7 below
+    cases = [(None, plain), (rng.standard_normal(n), plain),
+             (rng.standard_normal(n), np.round(rng.standard_normal(n), 1))]
+    for shift, v in cases:
+        phi = L1(n, lam=0.875, shift=shift)
+        got = phi.prox_kernel(d)(v)
+        assert got.tobytes() == _seven_pass_l1_prox(phi, v, d).tobytes()
+    for shift in (np.full(n, -0.0), _edge_values(rng, n), rng.standard_normal(n)):
+        v = _edge_values(rng, n)
+        v[5:9] = shift[5:9]                  # w = 0 there
+        v[9] = -0.1                          # -thr < w < 0: the old -0.0
+        phi = L1(n, lam=0.875, shift=shift)
+        with np.errstate(invalid="ignore"):     # inf - inf in both
+            got, want = phi.prox_kernel(d)(v), _seven_pass_l1_prox(phi, v, d)
+        np.testing.assert_array_equal(got, want)
+        moved = got.view(np.int64) != want.view(np.int64)
+        zeros = (got == 0.0) & (want == 0.0) & np.signbit(shift)
+        assert np.all(zeros[moved] | (np.isnan(got) & np.isnan(want))[moved])
+        assert moved[9] == (shift[9] == 0.0 and np.signbit(shift[9]))
 
 
 @pytest.mark.filterwarnings("ignore:zero row sums")

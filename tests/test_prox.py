@@ -367,7 +367,7 @@ def _assert_is_the_moreau_route(phi, v, t, got):
     of the inputs' scale, a Moreau fallback bit for bit, a Concat part by
     part."""
     if isinstance(phi, Concat):
-        for part, sl in phi._slices():
+        for part, sl in phi._routes:
             _assert_is_the_moreau_route(part, v[sl], t[sl] if np.ndim(t) else t,
                                         got[sl])
         return
@@ -500,7 +500,7 @@ def _prox_closed_form(phi, v, d):
         out[phi.members] = vg * scale
         return out
     out = np.empty(phi.dim)
-    for part, sl in phi._slices():
+    for part, sl in phi._routes:
         out[sl] = _prox_closed_form(part, v[sl], d[sl])
     return out
 

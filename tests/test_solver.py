@@ -379,9 +379,9 @@ def _old_solve_exact(sub, tol, max_iter, gamma=None, plan=None):
     f_prev = sub.objective(z)
     for _ in range(max_iter):
         if plan is not None:        # one epoch; the sweep runs in plan order
-            z_new = plan.permute(z)
-            pdopt.solver._bcd_sweep(plan_sub, plan, z_new, 1)
-            z_new = plan.unpermute(z_new)
+            c = plan.rhs(plan_sub.z_ref, plan_sub.q)
+            z_new = plan.unpermute(
+                pdopt.solver._bcd_sweep(plan_sub, plan, c, 1, plan.permute(z)))
         else:
             z_new = conj(y - gamma * sub.grad_quad(y))
             f_new = sub.objective(z_new)
@@ -847,6 +847,21 @@ def test_pdhg_rejects_inner():
 
 
 @pytest.mark.parametrize("field,value", [
+    ("m1", ScaledIdentity(100.0, 36)), ("m2", Gram(0.01, Grad2D(6, 6))),
+    ("gamma", 0.5)])
+def test_pdhg_rejects_fields_it_does_not_read(field, value):
+    # pdhg_step reads tau and sigma only: a metric or an inner stepsize
+    # given to it would be ignored without a word
+    prob = _toy_problem(np.random.default_rng(42))       # A is 72 x 36
+    cfg = SolverConfig(algorithm="pdhg", tau=0.01, max_outer=2, **{field: value})
+    with pytest.raises(ConfigError, match=f"pdhg takes no {field}"):
+        validate_config(prob, cfg)
+    with pytest.raises(ConfigError, match=field):
+        run(prob, cfg)
+    assert run(prob, dataclasses.replace(cfg, **{field: None})).outer_iters == 2
+
+
+@pytest.mark.parametrize("field,value", [
     ("tau", float("nan")), ("tau", float("inf")), ("tau", 0.0),
     ("sigma", float("nan")), ("sigma", -1.0),
     ("gamma", float("nan")), ("gamma", float("inf")), ("gamma", 0.0)])
@@ -966,9 +981,9 @@ def test_run_fixed_inner_effort(monkeypatch):
     counts = []
     sweep = pdopt.solver._bcd_sweep
 
-    def counting(sub, plan, z, epochs, at_ref=False):
+    def counting(sub, plan, c, epochs, z=None):
         counts.append(epochs)
-        return sweep(sub, plan, z, epochs, at_ref)
+        return sweep(sub, plan, c, epochs, z)
 
     monkeypatch.setattr(pdopt.solver, "_bcd_sweep", counting)
     for p in (1, 2, 3):
@@ -1341,6 +1356,88 @@ def test_run_step_is_the_old_dispatch_byte_for_byte(algorithm, inner, metrics):
                                rtol=1e-12, atol=1e-12)
     for a, b in ((got.state.x, want.state.x), (got.state.z, want.state.z)):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def _small_plans(rng):
+    """Plans of three builders' operators (CT's mixes a diagonal and a Gram
+    segment, EMD's has no dead rows), and one over a CSR operator whose
+    dead rows store zeros."""
+    from pdopt import problems
+    from pdopt.precond import BlockOrdering
+    R = problems.synth_line_integral_matrix(8, 8, 6, 10, seed=3)
+    blob = np.exp(-np.arange(8.0) ** 2 / 6.0)
+    for inst, tau in ((problems.tvl1(rng.random((9, 10)), lam=1.0), 0.01),
+                      (problems.emd(np.outer(blob, blob),
+                                    np.outer(blob[::-1], blob)), 0.001),
+                      (problems.ct(R, rng.random(R.shape[0]), lam=0.1, rows=8,
+                                   cols=8, tau=0.1), 0.1)):
+        cfg = inst.config(algorithm="iprepdhg", inner="bcd", tau=tau)
+        yield BcdPlan(inst.problem.A, cfg.m2)
+    mat = sp.random(9, 7, density=0.5, random_state=4, format="csr")
+    for row in (2, 5):
+        mat.data[mat.indptr[row]:mat.indptr[row + 1]] = 0.0
+    op = SparseOp(mat)
+    assert np.diff(op.mat.indptr)[[2, 5]].all()     # stored zeros
+    yield BcdPlan(op, Gram(0.3, op), BlockOrdering("rows", [[i] for i in range(9)]))
+
+
+def test_forward_rhs_is_the_rhs_of_the_forward_product():
+    # a plan step's right-hand side, formed from t without a q, is
+    # z_ref + S (A t) up to rounding; dead rows keep z_ref's bits, -0.0
+    # included, also where they store zeros that an inf in t turns into NaN
+    rng = np.random.default_rng(44)
+    for plan in _small_plans(rng):
+        m, n = plan.op.shape
+        dead = np.zeros(m, dtype=bool)
+        for sl in plan.dead:
+            dead[sl] = True
+        z_ref = rng.standard_normal(m)
+        z_ref[dead] = -0.0
+        t = rng.standard_normal(n)
+        got = plan.forward_rhs(z_ref, t)
+        want = plan.rhs(z_ref, plan.op.matvec(t))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        t[::3] = np.inf
+        with np.errstate(invalid="ignore"):
+            got = plan.forward_rhs(z_ref, t)
+        assert got[dead].tobytes() == z_ref[dead].tobytes()
+
+
+@pytest.mark.parametrize("builder", ["tvl1", "ct"])
+def test_err_ratio_of_a_plan_run_is_the_row_order_residual(builder):
+    # a plan's step forms no q, so the err-ratio monitor forms
+    # A(2 x_new - x_prev) in A's row order itself: every trace row is
+    # relative_error_residual of that iteration, recomputed here from the
+    # iterates the step returned
+    from pdopt import problems
+    rng = np.random.default_rng(43)
+    if builder == "tvl1":
+        inst, tau = problems.tvl1(rng.random((9, 10)), lam=1.0), 0.01
+    else:
+        R = problems.synth_line_integral_matrix(8, 8, 6, 10, seed=3)
+        inst, tau = problems.ct(R, rng.random(R.shape[0]), lam=0.1, rows=8,
+                                cols=8, tau=0.1), 0.1
+    prob = inst.problem
+    cfg = inst.config(algorithm="iprepdhg", inner="bcd", tau=tau, max_outer=25,
+                      log_every=1, tol_residual=None, monitor_err_ratio=True)
+    resolved = validate_config(prob, cfg)
+    plan, step = resolved["plan"], resolved["step"]
+    iterates = []
+
+    def recording(x, z):
+        out = step(x, z)
+        iterates.append((x, plan.unpermute(z), out[0], plan.unpermute(out[1])))
+        return out
+
+    res = run(prob, cfg, {**resolved, "step": recording})
+    want = []
+    for x_prev, z_prev, x_new, z_new in iterates:
+        sub = ZSubproblem(z_prev, prob.A.matvec(2.0 * x_new - x_prev),
+                          resolved["m2"], prob.g)
+        want.append(relative_error_residual(z_prev, z_new, sub)[1])
+    got = res.trace.column("err_ratio")
+    assert len(got) == 25 and None not in got
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 def test_run_reaches_the_benchmarks_hooks_at_call_time(monkeypatch):
