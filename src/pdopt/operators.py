@@ -58,12 +58,27 @@ def _div_into(ch1, ch2, out, h):
     horizontal likewise.  The operations and their order are those of adding
     into a zero array, so signed zeros come out the same: ``0.0 + p``, not
     a copy of ``p``.
+
+    The horizontal passes run on the flat views of ``out`` and ``ch2``: all
+    of ``ch2`` is added, then ``ch2`` shifted by one element is subtracted.
+    Each pass also reaches one column it must leave alone (the add the last
+    column, the subtraction the first, which it would pair with the end of
+    the row above), so that column is saved before the pass and written
+    back after it.  Every other entry goes through the same operations as
+    in a 2-D column-offset pass, so the result is the same bits, and no
+    temporary of grid size is made.  ``out`` must be C-contiguous, so that
+    its flat view writes into it.
     """
     np.add(0.0, ch1[:-1], out=out[:-1])
     out[-1] = 0.0
     out[1:] -= ch1[:-1]
-    out[:, :-1] += ch2[:, :-1]
-    out[:, 1:] -= ch2[:, :-1]
+    flat, flat2 = out.reshape(-1), ch2.reshape(-1)
+    keep = out[:, -1].copy()
+    flat += flat2
+    out[:, -1] = keep
+    keep[:] = out[:, 0]
+    flat[1:] -= flat2[:-1]
+    out[:, 0] = keep
     if h != 1.0:
         out /= h
     return out
@@ -101,20 +116,31 @@ def grad2d(u, h=1.0):
 
     Returns (ch1, ch2) where ch1[i, j] = (u[i+1, j] - u[i, j]) / h with a
     zero last row, and ch2 analogously in j with a zero last column.
+    Raises ValueError unless ``u`` is a non-empty 2-D array.
     """
     if not h > 0:         # NaN fails this too
         raise ValueError("h must be positive")
     u = np.asarray(u, dtype=float)
+    if u.ndim != 2 or u.size == 0:
+        raise ValueError(f"grad2d needs a non-empty 2-D array, got shape {u.shape}")
     ch1, ch2 = _grad_into(u, np.empty((2,) + u.shape), h)
     return ch1, ch2
 
 
 def div2d(ch1, ch2, h=1.0):
-    """Divergence of a two-channel field, the exact negative adjoint of grad2d."""
+    """Divergence of a two-channel field, the exact negative adjoint of grad2d.
+
+    Raises DimensionMismatchError unless both channels are non-empty 2-D
+    arrays of the same shape.
+    """
     if not h > 0:         # NaN fails this too
         raise ValueError("h must be positive")
     ch1 = np.asarray(ch1, dtype=float)
     ch2 = np.asarray(ch2, dtype=float)
+    if ch1.ndim != 2 or ch1.size == 0 or ch2.shape != ch1.shape:
+        raise DimensionMismatchError(
+            "div2d needs two non-empty 2-D channels of the same shape, "
+            f"got {ch1.shape} and {ch2.shape}")
     return _div_into(ch1, ch2, np.empty(ch1.shape), h)
 
 

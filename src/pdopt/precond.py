@@ -126,24 +126,25 @@ class BlockOrdering:
 
 def two_block_ordering(rows, cols):
     """Checkerboard split of grid nodes: black = (i + j) even (1-based)."""
-    i, j = np.divmod(np.arange(rows * cols), cols)
-    black = np.flatnonzero((i + j) % 2 == 0)
-    red = np.flatnonzero((i + j) % 2 == 1)
-    return BlockOrdering("two_block", [black, red])
+    nodes = np.arange(rows * cols)
+    i, j = np.ogrid[:rows, :cols]
+    red = ((i + j) % 2 == 1).ravel()
+    return BlockOrdering("two_block", [nodes[~red], nodes[red]])
 
 
 def four_block_ordering(rows, cols):
     """Channel-1 rows split by row parity, channel-2 rows by column parity.
 
     Fixed sweep order: odd-i channel-1, even-i channel-1, odd-j channel-2,
-    even-j channel-2 (parities in the 1-based convention).
+    even-j channel-2 (parities in the 1-based convention).  Each block is a
+    strided slice of the node grid, read in row-major order.
     """
     mn = rows * cols
-    i, j = np.divmod(np.arange(mn), cols)
-    blocks = [np.flatnonzero(i % 2 == 0),         # 1-based odd i
-              np.flatnonzero(i % 2 == 1),
-              mn + np.flatnonzero(j % 2 == 0),    # 1-based odd j
-              mn + np.flatnonzero(j % 2 == 1)]
+    grid = np.arange(mn).reshape(rows, cols)
+    blocks = [grid[0::2].ravel(),                 # 1-based odd i
+              grid[1::2].ravel(),
+              mn + grid[:, 0::2].ravel(),         # 1-based odd j
+              mn + grid[:, 1::2].ravel()]
     return BlockOrdering("four_block", blocks)
 
 

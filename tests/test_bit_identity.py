@@ -13,13 +13,24 @@ are written out as they were before it applied as one CSR of its stacked
 rows, part by part: the forward product the same bits, the adjoint and
 whole solves within rounding.  The grid gradient's stencil is written out
 as it was before its horizontal differences became one flat subtraction.
+The divergence and the operator-norm estimates that run it are checked
+against digests and values recorded from the code before its horizontal
+passes ran on flat views, with no oracle kept.
 """
+
+import hashlib
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pdopt import problems, solver
-from pdopt.operators import Grad2D, SparseOp, StackedOp, _grad_into
+from pdopt import operators, problems, solver
+from pdopt.operators import (Div2D, Grad2D, SparseOp, StackedOp,
+                             WeightedGrad2D, _div_into, _grad_into, div2d)
 from pdopt.prox import L1, _times_step, conj_prox
 from pdopt.solver import (BcdPlan, ZSubproblem, inner_bcd, run,
                           solve_subproblem_exact, validate_config)
@@ -363,3 +374,112 @@ def test_ct_solves_match_a_part_by_part_operator(algorithm):
                       tau=0.01 if algorithm == "pdhg" else 0.1,
                       max_outer=30, log_every=1, tol_residual=None)
     _assert_runs_agree(run(prob, cfg), run(old, cfg), algorithm)
+
+
+# The divergence's output bytes, as sha256 digests, for the inputs
+# ``_div_field`` builds: recorded from the 2-D column-offset passes the
+# flat passes replaced, keyed by (grid shape, h).  A negative h is how
+# Grad2D.rmatvec folds in the sign.
+_DIV_DIGESTS = {
+    ((1, 1), 1.0): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    ((1, 1), -1.0): "e6ad6c9a3a3b7658c35bacf6553fcb8ffe34387534a648fe18f875b8f7a86ddb",
+    ((1, 1), 0.5): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    ((1, 1), -2.0): "e6ad6c9a3a3b7658c35bacf6553fcb8ffe34387534a648fe18f875b8f7a86ddb",
+    ((1, 1), 7.75): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    ((1, 7), 1.0): "7ac1600b27bb1f1a809867f124591d41c72a0145b901fdef0ed666f13b45c215",
+    ((1, 7), -1.0): "418c7d365d0addbbc11d5c33c6907fe518af7aeac2c31bc9b4b46bd8a60ffb07",
+    ((1, 7), 0.5): "d5e16cd47d79c39bfac45b19ffe5bd7f5ef75ba7da8a1181a54f149b7ecd12f2",
+    ((1, 7), -2.0): "69ea75bb1a29434b5173fb8bb901296d5283e59d05d78fd4623057b9ff1a0b5b",
+    ((1, 7), 7.75): "013643875a2c17b9e95f7108ff23453cd87804ca089d84335b95e4555b9d0674",
+    ((7, 1), 1.0): "41bee82627773e9b61e2b50f6400abf1c8fc23f2c90074e76e53f85625c1ce3e",
+    ((7, 1), -1.0): "8674ffa9602235bf79bb6556cafe8b8231696ac9f49ac7db1d1a5ac79518f88c",
+    ((7, 1), 0.5): "70c40c1fae7c5888b800c24a7ca9a1c6fd7ef3edcb358a39e0a5752aa308e6f9",
+    ((7, 1), -2.0): "2673c00a1dcbe5155fd0d83232b5f5f2d08f0c335a1b577776266885c43f3b16",
+    ((7, 1), 7.75): "b937a9837f02d461864cd98576a91da512827843d43065240099803279fbbdb9",
+    ((9, 10), 1.0): "f1640b9333d375fb913dde9b321d6d303a737a972deb46c83a9048e39c5d6561",
+    ((9, 10), -1.0): "a31badb2035d8919c4d8b7714c3e79222b34a22aebea3d149f76d59f72331c4c",
+    ((9, 10), 0.5): "1040f56cb4521877ce31ea13ce96426880ade5747e31de2d3f22aa5d37950b8b",
+    ((9, 10), -2.0): "f2aba8fb0513d36dc9f547923769308cc9f40236ce12fd82fd17ebfebade5827",
+    ((9, 10), 7.75): "1a3cd452041825f9e4cf1db575ec468473ca161e02f6951cfd1b0b4694ffb0d5",
+    ((64, 64), 1.0): "cd4ca3f3792224bf9829b5c1bb4d244fa4de2e616d8b34c083e14f123797cefc",
+    ((64, 64), -1.0): "34643d8ed39de0c1a56509ea0ca611e326765995be73f233517120a9b9b1f1fd",
+    ((64, 64), 0.5): "a67a31c72cea33294b7d06f96150aa6bd95e8dddfaeba213cfb57f921a23fb00",
+    ((64, 64), -2.0): "7f99ed451ee80092bf641620bacb2c78d276637bde03bc0deb5e524f2786e1aa",
+    ((64, 64), 7.75): "d3b6d17bd3b10c3c947f73eeb9e5d87ba83a57f0f42e2d7957114dd57e5010ef",
+    ((256, 256), 1.0): "e62106a88ed55004bf4d0951a3b42844d3d9e20e51f0c2db8bce29f2003c08a3",
+    ((256, 256), -1.0): "df9843c090084639f209824bd0d038df8cec1e999af7494ae49d696ed1eac45a",
+    ((256, 256), 0.5): "66f6e802143f3e53c7893d93f415ee18daf4e7716a270ad40bc156edb520b73a",
+    ((256, 256), -2.0): "832d72f92c795ed4180bd5ac7e376ed91fdd1fb56c25938bae943982419b5620",
+    ((256, 256), 7.75): "e63335d7542526c0bc95a6f4d8f3e4c833dbc5d6572c5018e9fe6087a93a6bcd",
+}
+
+# float.hex of op_norm_sq_estimate for Grad2D(64, 64), Grad2D(256, 256) and
+# Div2D(32, 32, 31/4), recorded with the same divergence under one BLAS
+# thread.  The power iteration's dot products go through BLAS, which splits
+# a long one (the 256x256 grid's) between its threads, so the last bit
+# depends on the thread count; a test process pins it to one.
+_NORM_SQ_HEX = ["0x1.01d1808703714p+3", "0x1.01df4746213b7p+3",
+                "0x1.1295a60bec408p-3"]
+_NORM_SQ_SCRIPT = """
+from pdopt.operators import Div2D, Grad2D, op_norm_sq_estimate
+for op in (Grad2D(64, 64), Grad2D(256, 256), Div2D(32, 32, 31 / 4)):
+    print(float.hex(op_norm_sq_estimate(op)))
+"""
+
+
+def _div_field(rows, cols):
+    """Two channels of exact quotients with +-0.0, +-inf and +-NaN mixed in,
+    built by integer arithmetic only, so the bits are the same on every
+    platform and numpy version."""
+    k = np.arange(2 * rows * cols)
+    v = ((k * 7919) % 1009 - 504) / 37.0
+    pick = (k * 31 + rows) % 97
+    edges = (0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0))
+    for edge, lo, hi in zip(edges, (0, 12, 24, 27, 30, 32),
+                            (12, 24, 27, 30, 32, 34)):
+        v[(pick >= lo) & (pick < hi)] = edge
+    return v
+
+
+def _digest(out):
+    return hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("shape,h", list(_DIV_DIGESTS), ids=str)
+def test_divergence_is_the_recorded_bits(shape, h):
+    rows, cols = shape
+    v = _div_field(rows, cols)
+    p = v.reshape(2, rows, cols)
+    want = _DIV_DIGESTS[shape, h]
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = [_div_into(p[0], p[1], np.empty(shape), h)]
+        if h > 0:
+            got += [div2d(p[0], p[1], h), Div2D(rows, cols, h).matvec(v)]
+        else:
+            ones = np.ones(v.size)
+            got += [Grad2D(rows, cols, -h).rmatvec(v),
+                    WeightedGrad2D(rows, cols, ones, -h).rmatvec(v)]
+    for out in got:
+        assert _digest(out) == want
+
+
+def test_norm_estimates_are_the_recorded_bits():
+    env = {**os.environ, "PYTHONPATH": str(Path(operators.__file__).parents[1]),
+           **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS")}}
+    got = subprocess.run([sys.executable, "-c", _NORM_SQ_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert got.split() == _NORM_SQ_HEX
+
+
+def test_divergence_makes_no_grid_sized_temporary():
+    rows = cols = 256
+    p = np.random.default_rng(57).standard_normal((2, rows, cols))
+    out = np.empty((rows, cols))
+    tracemalloc.start()
+    try:
+        _div_into(p[0], p[1], out, -1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes // 8

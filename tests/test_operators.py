@@ -317,6 +317,26 @@ def test_grad2d_div2d_match_slice_formulas_bit_for_bit(rows, cols, h, seed):
     assert div2d(p1, p2, h).tobytes() == _div_by_slices(p1, p2, h).tobytes()
 
 
+@pytest.mark.parametrize("ch1,ch2", [
+    (np.ones((3, 4)), np.arange(4.0).reshape(1, 4)),    # would broadcast
+    (np.ones((3, 4)), np.ones((4, 3))),
+    (np.ones(4), np.ones(4)),
+    (np.ones((2, 3, 4)), np.ones((2, 3, 4))),
+    (np.ones((0, 4)), np.ones((0, 4))),
+], ids=["broadcast", "transposed", "1-D", "3-D", "empty"])
+def test_div2d_rejects_channels_that_are_not_one_grid(ch1, ch2):
+    with pytest.raises(DimensionMismatchError):
+        div2d(ch1, ch2)
+
+
+@pytest.mark.parametrize("u", [np.ones(5), np.ones((2, 3, 4)), np.float64(1.0),
+                               np.ones((3, 0))],
+                         ids=["1-D", "3-D", "0-D", "empty"])
+def test_grad2d_rejects_input_that_is_not_a_grid(u):
+    with pytest.raises(ValueError, match="2-D"):
+        grad2d(u)
+
+
 @pytest.mark.parametrize("h", [0.0, -1.0, math.nan])
 @pytest.mark.parametrize("build", [
     lambda h: Grad2D(2, 2, h=h),

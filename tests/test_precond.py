@@ -110,6 +110,24 @@ def test_four_block_sizes_3x3():
     assert [b.size for b in o.blocks] == [6, 3, 6, 3]
 
 
+@pytest.mark.parametrize("rows,cols", [(4, 6), (5, 7), (1, 1), (1, 6), (1, 7),
+                                       (6, 1), (7, 1), (4, 5)])
+def test_orderings_are_the_parity_definitions(rows, cols):
+    # the blocks by 0-based parity of each node's (i, j), read in row-major
+    # node order: the checkerboard, then row and column parity per channel
+    mn = rows * cols
+    i, j = np.divmod(np.arange(mn), cols)
+    want_two = [np.flatnonzero((i + j) % 2 == 0), np.flatnonzero((i + j) % 2 == 1)]
+    want_four = [np.flatnonzero(i % 2 == 0), np.flatnonzero(i % 2 == 1),
+                 mn + np.flatnonzero(j % 2 == 0), mn + np.flatnonzero(j % 2 == 1)]
+    for got, want in ((two_block_ordering(rows, cols), want_two),
+                      (four_block_ordering(rows, cols), want_four)):
+        assert len(got.blocks) == len(want)
+        for block, expected in zip(got.blocks, want):
+            assert block.dtype == expected.dtype
+            assert np.array_equal(block, expected)
+
+
 def test_trivial_ordering():
     o = trivial_ordering(5)
     assert o.num_blocks == 1 and o.blocks[0].size == 5

@@ -1347,12 +1347,18 @@ def test_run_step_is_the_old_dispatch_byte_for_byte(algorithm, inner, metrics):
         return
     # a BCD run keeps z in plan order and pairs it with a CSR of A, whose
     # products sum in another order than the stencils: equal to 1e-12
-    # (the exact solve's error ratios sit at 1e-13, its rounding floor)
+    # (the exact solve's error ratios sit at 1e-13, its rounding floor).
+    # An error ratio is compared only on rows whose step is above z's
+    # rounding level: from z0 = 0 the first step is ~4e-15, so that row's
+    # ratio is rounding noise
     assert got.trace.column("k") == want.trace.column("k")
     np.testing.assert_allclose(got.trace.column("obj"),
                                want.trace.column("obj"), rtol=1e-12)
-    np.testing.assert_allclose(got.trace.column("err_ratio"),
-                               want.trace.column("err_ratio"),
+    dz_norm = np.array(want.trace.column("dz_norm"))
+    above = dz_norm > 1e3 * np.finfo(float).eps * np.linalg.norm(want.state.z)
+    assert above[1:].all()
+    np.testing.assert_allclose(np.array(got.trace.column("err_ratio"))[above],
+                               np.array(want.trace.column("err_ratio"))[above],
                                rtol=1e-12, atol=1e-12)
     for a, b in ((got.state.x, want.state.x), (got.state.z, want.state.z)):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
