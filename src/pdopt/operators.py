@@ -285,11 +285,24 @@ class SparseOp(LinearOperator):
     """
 
     def __init__(self, mat):
-        self.mat = sp.csr_matrix(mat).astype(float)
-        self.mat.sum_duplicates()
-        self.mat_t = self.mat.T.tocsr()
-        self.shape = self.mat.shape
-        self._forward = bind_csr_matvec(self.mat)
+        mat = sp.csr_matrix(mat).astype(float)
+        mat.sum_duplicates()
+        self._own(mat)
+
+    @classmethod
+    def adopt(cls, mat):
+        """A ``SparseOp`` holding ``mat`` itself, not a copy, for a caller
+        that built the canonical float64 CSR matrix ``mat`` for it and does
+        not change it afterwards."""
+        op = cls.__new__(cls)
+        op._own(mat)
+        return op
+
+    def _own(self, mat):
+        self.mat = mat
+        self.mat_t = mat.T.tocsr()
+        self.shape = mat.shape
+        self._forward = bind_csr_matvec(mat)
         self._adjoint = bind_csr_matvec(self.mat_t)
 
     def matvec(self, x):

@@ -28,6 +28,7 @@ from .operators import op_norm_sq_estimate
 
 EXACT_TOL = 1e-12      # step-norm tolerance of prepdhg_exact's z-subproblem solve
 GAP_BAND = 1e-12       # a gap from a carried A x_k this close to tol_delta is checked exactly
+GRAM_PRODUCT_NNZ = 1 << 14  # entries of A over which BcdPlan forms blocks in one Gram product
 
 
 class ConfigError(ValueError):
@@ -271,6 +272,58 @@ def _fista_restart(z, grad, obj, conj_prox, gamma, iters, tol=None):
     return z
 
 
+def _row_slice(mat, start, stop):
+    """Rows ``start:stop`` of the CSR matrix ``mat``, sharing its data and
+    column indices (only the row pointers are new)."""
+    if start == 0 and stop == mat.shape[0]:
+        return mat
+    a, b = mat.indptr[start], mat.indptr[stop]
+    return sp.csr_matrix((mat.data[a:b], mat.indices[a:b],
+                          mat.indptr[start:stop + 1] - a),
+                         shape=(stop - start, mat.shape[1]))
+
+
+def _row_norms_sq(mat):
+    """Each row's sum of its squared entries, in row order: the squared data
+    over ``mat``'s own index arrays, times a vector of ones."""
+    return (sp.csr_matrix((mat.data ** 2, mat.indices, mat.indptr), shape=mat.shape)
+            @ np.ones(mat.shape[1]))
+
+
+def _csr_part(data, cols, indptr, mask, shape):
+    """The entries of the CSR arrays ``(data, cols, indptr)`` that ``mask``
+    selects, as a CSR matrix of exact size and the given shape, each row's
+    in their order."""
+    picked = np.flatnonzero(mask)
+    return sp.csr_matrix((data[picked], cols[picked], np.searchsorted(picked, indptr)),
+                         shape=shape)
+
+
+def _gram_block(gram, rows, start, n_live, scale, n_diag):
+    """``(L_b, U_b)`` of one colour block from its rows of ``A A^T`` over
+    the segment, rows ``rows`` (a slice) of the product ``gram``: scaled
+    row-wise by ``scale``, the self-block (plan positions ``start:stop``)
+    and the dead columns (from ``n_live``) dropped, and split into the
+    columns before and after the block.  ``n_diag`` is the number of the
+    block's rows with ``d != 0``."""
+    stop = start + rows.stop - rows.start
+    a, b = gram.indptr[rows.start], gram.indptr[rows.stop]
+    indptr = gram.indptr[rows.start:rows.stop + 1] - a
+    cols, data = gram.indices[a:b], gram.data[a:b]
+    # row i holds its diagonal entry iff d_i != 0 (same sum, and the
+    # product drops exact zeros); any other entry inside the block is a
+    # coupling the ordering must not have
+    if np.count_nonzero((cols >= start) & (cols < stop)) != n_diag:
+        raise OrderingError("within-block columns of A^T are not mutually orthogonal")
+    data *= np.repeat(scale, np.diff(indptr))
+    # an entry the scaling took to zero is dropped
+    kept = data != 0
+    shape = (stop - start, n_live)
+    return (_csr_part(data, cols, indptr, kept & (cols < start), shape),
+            _csr_part(data, cols, indptr, kept & (cols >= stop) & (cols < n_live),
+                      shape))
+
+
 class BcdPlan:
     """Precomputed structure for cyclic block-coordinate sweeps, in plan order.
 
@@ -297,11 +350,17 @@ class BcdPlan:
     ``tau/h``, with columns over the live range, is held in two CSR parts:
     ``L_b`` has its columns before the block and ``U_b`` those after it,
     each row's entries in ``G_b``'s order (a stable partition of each row).
-    The ``G_b`` are row slices of one product of the segment's rows in plan
-    order with their transpose, taken from ``op``'s rows when the Gram
-    operator is A or A's block over those rows; the parts share that
-    product's arrays.  Building them also checks the ordering: an
-    off-diagonal entry of ``A A^T`` inside a block raises OrderingError.
+    Each ``G_b`` is formed by its own product of the block's rows in plan
+    order with the transpose of the segment's rows, taken from ``op``'s rows
+    when the Gram operator is A or A's block over those rows, and its parts
+    are gathered from it into arrays of their own; the product is dropped
+    before the next one is formed, so the build holds about one block's
+    Gram rows beyond what the plan keeps.  Consecutive blocks whose rows
+    hold at most ``GRAM_PRODUCT_NNZ`` entries of A share one product, so a
+    small plan pays one product's call overhead, not one per block.  The
+    product forms each row on its own, so the parts have the same bits
+    however the rows are grouped.  Building them also checks the ordering:
+    an off-diagonal entry of ``A A^T`` inside a block raises OrderingError.
     ``dead`` lists the plan-order ranges of dead rows, one slice per Gram
     segment that has any.  ``products`` holds, per segment, ``None`` for a
     diagonal one and, for a Gram one, one ``(slice, lower, upper)`` triple
@@ -343,6 +402,7 @@ class BcdPlan:
                 "BCD needs M2 in Gram form or a block-diagonal composite over "
                 "a stacked operator")
         mat = A.to_sparse().tocsr()
+        mat.sum_duplicates()    # op's rows and the row norms read it canonical
         layouts, orders = [], []
         self.num_blocks = 0
         for lo, hi, part, rows_op in parts:
@@ -356,22 +416,24 @@ class BcdPlan:
                           else ordering_for(part.A)).blocks
                 # the rows of a Gram operator other than A's over lo:hi, else
                 # None: the segment then takes op's rows
-                own = None if part.A is rows_op else part.A.to_sparse().tocsr()
-                if own is None:
-                    d = (mat.power(2) @ np.ones(mat.shape[1]))[lo:hi]
-                else:
-                    d = own.power(2) @ np.ones(own.shape[1])
-                layout = self._gram_layout(d, part.tau, part.ridge, blocks)
-                del d           # holds all of A's row norms until the plan is built
-                layouts.append(("gram", lo, part.tau, None if own is None
-                                else own[layout[0]], layout))
-                orders.append(lo + layout[0])
+                own = None
+                if part.A is not rows_op:
+                    own = part.A.to_sparse().tocsr()
+                    own.sum_duplicates()
+                order, layout = self._gram_layout(
+                    _row_norms_sq(_row_slice(mat, lo, hi) if own is None else own),
+                    part.tau, part.ridge, blocks)
+                layouts.append(("gram", lo, part.tau,
+                                None if own is None else own[order], layout))
+                orders.append(order + lo)
+                del order, own      # not held while the Gram rows are formed
                 self.num_blocks += len(blocks)
             else:
                 raise ConfigError(
                     f"unsupported M2 block {type(part).__name__} for BCD")
         self.order = np.concatenate(orders)
-        self.op = SparseOp(mat[self.order])
+        del orders
+        self.op = SparseOp.adopt(mat[self.order].astype(float, copy=False))
         del mat
         self.segments = [seg if seg[0] == "diag" else
                          self._gram_segment(*seg[1:]) for seg in layouts]
@@ -402,79 +464,57 @@ class BcdPlan:
 
     @staticmethod
     def _gram_layout(d, tau, ridge, blocks):
-        """(order, d, h, block sizes) of one Gram segment from ``d``, its
-        rows' ``||a_i||^2``: its rows in plan order (live rows block by
-        block, then the dead ones), d and ``h = tau d + ridge`` over them,
-        and the number of live rows of each colour block."""
+        """(order, layout) of one Gram segment from ``d``, its rows'
+        ``||a_i||^2``: ``order`` lists its rows in plan order (live rows
+        block by block, then the dead ones), and ``layout`` is the row
+        count, ``h = tau d + ridge`` over the live rows, and per colour
+        block the number of live rows and of those with ``d != 0``."""
         if sum(b.size for b in blocks) != d.size:
             raise OrderingError("ordering does not partition the operator's row space")
         h = tau * d + ridge
         live_blocks = [blk[h[blk] > 0] for blk in blocks]
         order = np.concatenate(live_blocks + [np.flatnonzero(~(h > 0))])
-        return order, d[order], h[order], [rows.size for rows in live_blocks]
+        live = order[:sum(rows.size for rows in live_blocks)]
+        return order, (order.size, h[live], [rows.size for rows in live_blocks],
+                       [np.count_nonzero(d[rows]) for rows in live_blocks])
 
     def _gram_segment(self, lo, tau, rows, layout):
-        """The segment's Gram rows per colour block, as row slices of one
-        product of its rows in plan order (``op``'s when ``rows`` is None)
-        with their transpose, each split in place into its columns before
-        and after the block."""
-        order, d, h, sizes = layout
-        n_live = sum(sizes)
-        if rows is None and order.size == self.op.shape[0]:
-            rows, rows_t = self.op.mat, self.op.mat_t
+        """The segment's ``(slice, L_b, U_b)`` triples, from products of its
+        colour blocks' rows in plan order (``op``'s when ``rows`` is None)
+        with the transpose of the segment's rows."""
+        n_rows, h, sizes, diag = layout
+        n_live = h.size
+        if rows is None:            # op's rows lo:lo + n_rows, and their transpose
+            rows, base = self.op.mat, lo
+            rows_t = self.op.mat_t
+            if n_rows < self.op.shape[0]:
+                cols = rows_t.indices
+                rows_t = _csr_part(rows_t.data, cols, rows_t.indptr,
+                                   (cols >= lo) & (cols < lo + n_rows),
+                                   (rows_t.shape[0], n_rows))
+                rows_t.indices -= lo
         else:
-            if rows is None:
-                rows = self.op.mat[lo:lo + order.size]
-            rows_t = rows.T.tocsr()
-        gram = rows @ rows_t                        # rows of A A^T, plan order
-        indptr, cols, data = gram.indptr, gram.indices, gram.data
-        spans = []
-        start = 0
-        for size in sizes:
-            if size == 0:
-                continue
-            stop = start + size
-            a, b = indptr[start], indptr[stop]
-            block_cols = cols[a:b]
-            inside = (block_cols >= start) & (block_cols < stop)
-            # row i holds its diagonal entry iff d_i != 0 (same sum, and the
-            # product drops exact zeros); any other entry inside the block
-            # is a coupling the ordering must not have
-            if np.count_nonzero(inside) != np.count_nonzero(d[start:stop]):
-                raise OrderingError(
-                    "within-block columns of A^T are not mutually orthogonal")
-            block_data = data[a:b]
-            block_data *= np.repeat(tau / h[start:stop], np.diff(indptr[start:stop + 1]))
-            block_data[inside | (block_cols >= n_live)] = 0.0   # self, dead columns
-            spans.append((start, stop))
-            start = stop
-        gram.eliminate_zeros()
-        indptr, cols, data = gram.indptr, gram.indices, gram.data
+            base, rows_t = 0, rows.T.tocsr()
+        bounds = np.cumsum([0] + sizes)     # colour block k: rows bounds[k]:bounds[k + 1]
+        nnz = rows.indptr[base + bounds]    # A's entries before each block
         blocks = []
-        for start, stop in spans:
-            # all of the block's entries left of it, row by row, then all
-            # right of it: a stable partition of each row, in place, one
-            # array and one side at a time to keep the temporaries small
-            a, b = indptr[start], indptr[stop]
-            row_ptr = indptr[start:stop + 1] - a
-            left = cols[a:b] < start
-            left_count = np.zeros(b - a + 1, dtype=row_ptr.dtype)
-            np.cumsum(left, dtype=row_ptr.dtype, out=left_count[1:])
-            left_ptr = left_count[row_ptr]
-            del left_count
-            mid = a + left_ptr[-1]
-            for arr in (data, cols):
-                right = arr[a:b][~left]
-                arr[a:mid] = arr[a:b][left]
-                arr[mid:b] = right
-            shape = (stop - start, n_live)
-            blocks.append((slice(start, stop),
-                           sp.csr_matrix((data[a:mid], cols[a:mid], left_ptr),
-                                         shape=shape),
-                           sp.csr_matrix((data[mid:b], cols[mid:b],
-                                          row_ptr - left_ptr), shape=shape)))
-        return ("gram", lo, lo + order.size, self.order[lo:lo + n_live],
-                1.0 / h[:n_live], blocks)
+        first = 0
+        while first < len(sizes):
+            last = first + 1            # blocks first:last share one product
+            while (last < len(sizes)
+                   and nnz[last + 1] - nnz[first] <= GRAM_PRODUCT_NNZ):
+                last += 1
+            top = int(bounds[first])
+            gram = _row_slice(rows, base + top, base + int(bounds[last])) @ rows_t
+            for k in range(first, last):
+                start, stop = int(bounds[k]), int(bounds[k + 1])
+                if start < stop:
+                    blocks.append((slice(start, stop),) + _gram_block(
+                        gram, slice(start - top, stop - top), start, n_live,
+                        tau / h[start:stop], diag[k]))
+            del gram
+            first = last
+        return ("gram", lo, lo + n_rows, self.order[lo:lo + n_live], 1.0 / h, blocks)
 
     def permute(self, v):
         """The dual vector ``v`` (A's row order) in plan order."""

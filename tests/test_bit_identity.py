@@ -15,7 +15,9 @@ whole solves within rounding.  The grid gradient's stencil is written out
 as it was before its horizontal differences became one flat subtraction.
 The divergence and the operator-norm estimates that run it are checked
 against digests and values recorded from the code before its horizontal
-passes ran on flat views, with no oracle kept.
+passes ran on flat views, with no oracle kept.  So are the BCD plan's
+arrays, recorded from the code that formed each Gram segment's rows as one
+product before it formed them a colour block at a time.
 """
 
 import hashlib
@@ -29,8 +31,10 @@ import numpy as np
 import pytest
 
 from pdopt import operators, problems, solver
-from pdopt.operators import (Div2D, Grad2D, SparseOp, StackedOp,
-                             WeightedGrad2D, _div_into, _grad_into, div2d)
+from pdopt.operators import (Div2D, Grad2D, OrderingError, SparseOp,
+                             StackedOp, WeightedGrad2D, _div_into, _grad_into,
+                             div2d)
+from pdopt.precond import BlockOrdering, Gram, four_block_ordering
 from pdopt.prox import L1, _times_step, conj_prox
 from pdopt.solver import (BcdPlan, ZSubproblem, inner_bcd, run,
                           solve_subproblem_exact, validate_config)
@@ -483,3 +487,101 @@ def test_divergence_makes_no_grid_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak < out.nbytes // 8
+
+
+# sha256 of every array a BcdPlan holds (see _plan_digest), recorded from
+# the code that formed each Gram segment's rows as one product and split it
+# in place, with no oracle kept.  Forming them a colour block at a time, or
+# a few blocks per product, must give the same bits: csr_matmat emits each
+# row's entries in the same order with the same sums whatever other rows
+# are in the product.
+_PLAN_DIGESTS = {
+    "tvl1": "6c1b5ffcc79aa99ff4e7e14ecac25620707620670d86fe60936d144553999df6",
+    "graphcut": "d19287737344148b06de32ad25d609966ba185ee107e10f3735125d7208c7088",
+    "emd": "15eb62e5f55301446a7377eeeeea874c890aedd49fe1a756ab9e069cd56449b0",
+    "ct": "9a394fc4635c5254f88ad6530ade2990b857d246e2585d558ba197af89132c91",
+    "tvl1-64": "24ebd6ff8c6134c94940e0ce555d486be6a18c8cdf015656cf065a8d6238b471",
+    "custom": "7bcd20cc285225252cc5b0916b0d31c35144d80aa8bf721fa82435175b862c22",
+    "custom-ridge": "e9081dee1ffa71dcf951f3e55d8f0b3f81015298337e033f73aea5fad6af09c2",
+}
+
+
+def _plan_digest(plan):
+    """One sha256 over the plan's order, op's CSR arrays and their
+    transpose's, each diagonal segment's ``e``, and each Gram segment's
+    ``inv_h`` and every ``L_b``/``U_b``'s ``data``, ``indices`` and
+    ``indptr``, each with its dtype."""
+    arrays = [plan.order]
+    for mat in (plan.op.mat, plan.op.mat_t):
+        arrays += [mat.data, mat.indices, mat.indptr]
+    for seg in plan.segments:
+        if seg[0] == "diag":
+            arrays.append(seg[3])
+        else:
+            arrays.append(seg[4])
+            for _, *parts in seg[5]:
+                for part in parts:
+                    arrays += [part.data, part.indices, part.indptr]
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(arr.dtype.str.encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def _plan_cases():
+    """(name, A, M2, ordering): the four builders' small instances, a 64x64
+    TV-L1 and a 9x10 gradient under a custom ordering (eight blocks in
+    reverse, each read backwards), the last over a Gram operator other
+    than A and with a ridge, so rows with ``d = 0`` are live."""
+    for inst, tau in _instances():
+        yield (inst.name, inst.problem.A,
+               inst.config(algorithm="iprepdhg", inner="bcd", tau=tau).m2, None)
+    inst = problems.tvl1(np.random.default_rng(7).random((64, 64)), lam=1.0)
+    yield ("tvl1-64", inst.problem.A,
+           inst.config(algorithm="iprepdhg", inner="bcd", tau=0.01).m2, None)
+    grad = Grad2D(9, 10)
+    custom = BlockOrdering("custom", [half[::-1] for blk in
+                                      four_block_ordering(9, 10).blocks[::-1]
+                                      for half in np.array_split(blk, 2)])
+    yield "custom", grad, Gram(0.3, grad), custom
+    yield "custom-ridge", SparseOp(grad.to_sparse()), Gram(0.3, grad, 0.5), custom
+
+
+@pytest.mark.filterwarnings("ignore:zero row sums")
+@pytest.mark.parametrize("limit", [0, solver.GRAM_PRODUCT_NNZ, 1 << 62],
+                         ids=["block-by-block", "default", "whole-segment"])
+def test_bcd_plan_is_the_recorded_bits(monkeypatch, limit):
+    monkeypatch.setattr(solver, "GRAM_PRODUCT_NNZ", limit)
+    for name, A, m2, ordering in _plan_cases():
+        assert _plan_digest(BcdPlan(A, m2, ordering)) == _PLAN_DIGESTS[name], name
+
+
+def test_bcd_plan_build_peak_is_near_what_it_keeps():
+    # the build forms a 256x256 grid's Gram rows one colour block at a time
+    # into exact-size parts, so its transient stays under half of what the
+    # plan keeps (op, its transpose, order, inv_h and the L_b/U_b parts);
+    # one product of the whole segment, split in place, peaks at 1.88x
+    inst = problems.tvl1(np.random.default_rng(58).random((256, 256)), lam=1.0)
+    m2 = inst.config(algorithm="iprepdhg", inner="bcd", tau=0.01).m2
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        plan = BcdPlan(inst.problem.A, m2)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan.num_blocks == 4
+    assert peak - start <= 1.5 * (kept - start)
+
+
+@pytest.mark.parametrize("limit", [0, 1 << 62], ids=["block-by-block", "whole-segment"])
+def test_bcd_plan_rejects_a_coupled_later_block(monkeypatch, limit):
+    # the first block is a valid colour; the second joins two colours of
+    # different channels, whose rows share grid nodes
+    monkeypatch.setattr(solver, "GRAM_PRODUCT_NNZ", limit)
+    A = Grad2D(4, 4)
+    first, *rest = four_block_ordering(4, 4).blocks
+    ordering = BlockOrdering("coupled", [first, np.concatenate(rest[:2]), rest[2]])
+    with pytest.raises(OrderingError, match="not mutually orthogonal"):
+        BcdPlan(A, Gram(0.5, A), ordering)
