@@ -15,8 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import gridio, precond, problems, prox, solver
-from .operators import (Div2D, Grad2D, SparseOp, WeightedGrad2D,
-                        op_norm_sq_estimate)
+from .operators import Div2D, Grad2D, SparseOp, WeightedGrad2D
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -134,10 +133,7 @@ def _build_problem(name, cfg):
                 raise CliError("graphcut needs RGB data: (M, N, 3) array or "
                                "a CSV of shape (M, 3N)")
             img = img.reshape(img.shape[0], img.shape[1] // 3, 3)
-        kw = {}
-        for k in ("alpha", "beta"):
-            if k in cfg:
-                kw[k] = cfg[k]
+        kw = {k: cfg[k] for k in ("alpha", "beta") if k in cfg}
         for k in ("mu_f", "mu_b"):
             if k in cfg:
                 kw[k] = tuple(float(t) for t in cfg[k].split(","))
@@ -200,12 +196,10 @@ def _output_dir(cfg, args):
 
 def _write_solution(instance, x, outdir, prefix):
     rows, cols = instance.shape
-    if instance.name == "emd":
-        grid = x.reshape(2 * rows, cols)
-        gridio.save_grid_csv(os.path.join(outdir, f"{prefix}_solution.csv"), grid)
-    else:
-        grid = x.reshape(rows, cols)
-        gridio.save_grid_csv(os.path.join(outdir, f"{prefix}_solution.csv"), grid)
+    flux = instance.name == "emd"       # two channels, stacked
+    grid = x.reshape(2 * rows if flux else rows, cols)
+    gridio.save_grid_csv(os.path.join(outdir, f"{prefix}_solution.csv"), grid)
+    if not flux:
         gridio.save_pgm(os.path.join(outdir, f"{prefix}_solution.pgm"), grid)
 
 

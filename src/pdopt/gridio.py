@@ -3,6 +3,8 @@
 import numpy as np
 import scipy.sparse as sp
 
+PGM_MAXVAL = 255       # grey levels save_pgm writes
+
 
 def load_coo_matrix(path):
     """Load a sparse matrix from a plain-text coordinate file.
@@ -32,10 +34,11 @@ def load_coo_matrix(path):
 
 
 def save_coo_matrix(path, mat):
+    """Save in ``load_coo_matrix``'s format; each value's repr reads back to its bits."""
     coo = sp.coo_matrix(mat)
     with open(path, "w") as fh:
         fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
+        for r, c, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
             fh.write(f"{r + 1} {c + 1} {v!r}\n")
 
 
@@ -55,12 +58,12 @@ def load_pgm(path):
     return data.reshape(h, w) / maxval
 
 
-def save_pgm(path, grid, maxval=255):
+def save_pgm(path, grid):
     """Save a [0, 1] grid as an ASCII PGM, clipping out-of-range values."""
     grid = np.asarray(grid, dtype=float)
-    pix = np.rint(np.clip(grid, 0.0, 1.0) * maxval).astype(int)
+    pix = np.rint(np.clip(grid, 0.0, 1.0) * PGM_MAXVAL).astype(int)
     with open(path, "w") as fh:
-        fh.write(f"P2\n{grid.shape[1]} {grid.shape[0]}\n{maxval}\n")
+        fh.write(f"P2\n{grid.shape[1]} {grid.shape[0]}\n{PGM_MAXVAL}\n")
         for row in pix:
             fh.write(" ".join(str(v) for v in row) + "\n")
 

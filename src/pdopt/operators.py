@@ -15,6 +15,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
+POWER_ITERS = 200      # products a power iteration takes at most ...
+POWER_TOL = 1e-10      # ... before its Rayleigh quotient moves less than this, relative
+
 
 class DimensionMismatchError(ValueError):
     """Operator applied to a vector of the wrong length."""
@@ -210,13 +213,15 @@ class Grad2D(LinearOperator):
         # at r and 1/h at the node to the right; nodes on the last grid row
         # (column) leave their channel-1 (channel-2) row empty
         m, n = self.rows, self.cols
-        nodes = np.arange(m * n)
+        itype = np.int32 if 4 * m * n < 2 ** 31 else np.int64  # the index type csr_matrix keeps
+        nodes = np.arange(m * n, dtype=itype)
         down = nodes < (m - 1) * n
         right = nodes % n != n - 1
         first = np.concatenate([nodes[down], nodes[right]])
-        second = first + np.repeat([n, 1], [np.count_nonzero(down),
-                                            np.count_nonzero(right)])
-        indptr = np.concatenate([[0], np.cumsum(2 * np.concatenate([down, right]))])
+        second = first + np.repeat(np.array([n, 1], itype), [np.count_nonzero(down),
+                                                             np.count_nonzero(right)])
+        indptr = np.zeros(2 * m * n + 1, itype)
+        indptr[1:] = 2 * np.cumsum(np.concatenate([down, right]), dtype=itype)
         data = np.tile([-1.0 / self.h, 1.0 / self.h], first.size)
         return sp.csr_matrix((data, np.column_stack([first, second]).ravel(), indptr),
                              shape=(2 * m * n, m * n))
@@ -339,49 +344,46 @@ class StackedOp(SparseOp):
                                    format="csr"))
 
 
-def power_iteration(apply, dim, iters=200, tol=1e-10):
+def power_iteration(apply, dim):
     """Power-iteration estimate of the largest eigenvalue of the symmetric PSD
     map ``apply`` on R^dim.
 
     Deterministic: starts from a fixed-seed random vector (an all-ones start
     would sit in the null space of difference operators).  Stops when the
-    Rayleigh quotient changes by at most ``tol`` relative; returns 0 for the
-    zero map.
+    Rayleigh quotient changes by at most ``POWER_TOL`` relative, after at
+    most ``POWER_ITERS`` products; returns 0 for the zero map.
     """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
     v = np.random.default_rng(12345).standard_normal(dim)
     nrm = np.linalg.norm(v)
     if nrm == 0:
         return 0.0
     v /= nrm
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(POWER_ITERS):
         w = apply(v)
         wn = np.linalg.norm(w)
         if wn == 0:
             return 0.0
         lam_new = float(v @ w)
         v = w / wn
-        if lam > 0 and abs(lam_new - lam) <= tol * lam:
+        if lam > 0 and abs(lam_new - lam) <= POWER_TOL * lam:
             return lam_new
         lam = lam_new
     return lam
 
 
-def op_norm_sq_estimate(A, iters=200, tol=1e-10):
+def op_norm_sq_estimate(A):
     """Power-iteration estimate of lambda_max(A^T A), times a 1.01 safety factor.
 
-    Computed once per operator and (iters, tol): the value is kept on ``A``,
-    which is immutable after construction.
+    Computed once per operator: the value is kept on ``A``, which is
+    immutable after construction.
     """
     # an operator without a __dict__ gets a throwaway memo: no caching
-    memo = getattr(A, "__dict__", {}).setdefault("_norm_sq_estimates", {})
-    key = (iters, tol)
-    if key not in memo:
-        memo[key] = 1.01 * power_iteration(
-            lambda v: A.rmatvec(A.matvec(v)), A.shape[1], iters, tol)
-    return memo[key]
+    memo = getattr(A, "__dict__", {})
+    if "_norm_sq_estimate" not in memo:
+        memo["_norm_sq_estimate"] = 1.01 * power_iteration(
+            lambda v: A.rmatvec(A.matvec(v)), A.shape[1])
+    return memo["_norm_sq_estimate"]
 
 
 def block_gram(A, ordering):

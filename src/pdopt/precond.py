@@ -10,8 +10,10 @@ import warnings
 
 import numpy as np
 
-from .operators import (Div2D, Grad2D, LinearOperator, OrderingError,
-                        WeightedGrad2D, op_norm_sq_estimate)
+from .operators import (Div2D, Grad2D, OrderingError, WeightedGrad2D,
+                        op_norm_sq_estimate)
+
+DENSE_GUARD = 2000     # largest dimension the dense desk-scale checks materialize
 
 
 class Preconditioner:
@@ -30,7 +32,7 @@ class Preconditioner:
         """Diagonal as an array, for forms that are diagonal."""
         raise NotImplementedError("not a diagonal form")
 
-    def dense(self, guard=2000):
+    def dense(self, guard=DENSE_GUARD):
         if self.dim > guard:
             raise ValueError(
                 f"refusing to materialize a {self.dim}-dim preconditioner densely; "
@@ -226,32 +228,32 @@ def ct_block_precond(R, rows, cols, tau, variant="norm", grad=None):
     return m1, m2
 
 
-def validate_schur(m1, m2, A, guard=2000):
+def validate_schur(m1, m2, A):
     """Smallest eigenvalue of M2 - A M1^{-1} A^T, materialized densely.
 
     Returns (valid, min_eig) with valid = (min_eig >= -1e-10).  Desk-scale
-    diagnostic only; refuses above the dimension guard.
+    diagnostic only; refuses m + n above ``DENSE_GUARD``.
     """
     m, n = A.shape
-    if m + n > guard:
+    if m + n > DENSE_GUARD:
         raise ValueError(
-            f"validate_schur refuses m+n={m + n} > {guard}: dense eigencheck "
+            f"validate_schur refuses m+n={m + n} > {DENSE_GUARD}: dense eigencheck "
             "is a desk-scale diagnostic")
     dense_a = A.to_sparse().toarray()
     m1_inv = np.diag(1.0 / m1.diagonal())
-    schur = m2.dense(guard) - dense_a @ m1_inv @ dense_a.T
+    schur = m2.dense() - dense_a @ m1_inv @ dense_a.T
     min_eig = float(np.linalg.eigvalsh(0.5 * (schur + schur.T))[0])
     return min_eig >= -1e-10, min_eig
 
 
-def metric_spectrum(m2, guard=2000):
+def metric_spectrum(m2):
     """(lambda_min, smallest positive lambda, lambda_max) of a dense-materializable M2.
 
     The smallest positive eigenvalue is reported separately because Gram
     metrics of grid operators can be singular while the inner-solver theory
     divides by lambda_min; callers must decide which one applies.
     """
-    dense = m2.dense(guard)
+    dense = m2.dense()
     eigs = np.linalg.eigvalsh(0.5 * (dense + dense.T))
     pos = eigs[eigs > 1e-12 * max(1.0, eigs[-1])]
     lam_min_pos = float(pos[0]) if pos.size else 0.0

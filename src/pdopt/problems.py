@@ -11,6 +11,8 @@ from . import solver as _solver
 from .operators import Div2D, Grad2D, SparseOp, StackedOp, WeightedGrad2D
 from .precond import ct_block_precond, gram_precond, scaled_identity
 
+REFERENCE_MAX_OUTER = 200000   # outer-iteration budget of reference_solve
+
 
 class MassMismatchError(ValueError):
     """EMD marginals with different total mass: the constraint set is empty."""
@@ -29,7 +31,6 @@ class ProblemInstance:
     problem: _solver.SaddleProblem
     name: str
     shape: tuple
-    params: dict = field(default_factory=dict)
     recommended: dict = field(default_factory=dict)
 
     def config(self, **overrides):
@@ -67,7 +68,6 @@ def tvl1(b, lam):
     prob = _solver.SaddleProblem(f=f, g=g, A=A)
     return ProblemInstance(
         problem=prob, name="tvl1", shape=(rows, cols),
-        params={"lam": lam},
         recommended={"algorithm": "iprepdhg", "inner": "bcd", "p": 1,
                      "tau": 0.01})
 
@@ -112,8 +112,6 @@ def graphcut(img, alpha=0.5, beta=10.0, mu_f=(0.0, 0.0, 1.0),
     prob = _solver.SaddleProblem(f=f, g=g, A=A)
     return ProblemInstance(
         problem=prob, name="graphcut", shape=(rows, cols),
-        params={"alpha": alpha, "beta": beta,
-                "mu_f": tuple(mu_f), "mu_b": tuple(mu_b)},
         recommended={"algorithm": "iprepdhg", "inner": "bcd", "p": 1,
                      "tau": 0.01})
 
@@ -160,7 +158,6 @@ def emd(rho0, rho1, h=None):
                                  feasibility=feasibility)
     return ProblemInstance(
         problem=prob, name="emd", shape=(rows, cols),
-        params={"h": h},
         recommended={"algorithm": "iprepdhg", "inner": "bcd", "p": 2,
                      "tau": 0.01})
 
@@ -190,7 +187,6 @@ def ct(R, b, lam, rows, cols, precond_variant="norm", tau=0.01):
                               grad=grad)
     return ProblemInstance(
         problem=prob, name="ct", shape=(rows, cols),
-        params={"lam": lam, "variant": precond_variant},
         recommended={"algorithm": "iprepdhg", "inner": "bcd", "p": 2,
                      "tau": tau, "m1": m1, "m2": m2})
 
@@ -270,7 +266,7 @@ class ReferenceSolution:
     iters: int
 
 
-def _emd_reference(instance, max_outer, x0, z0):
+def _emd_reference(instance, x0, z0):
     """Gap-certified EMD reference: the flux objective is sandwiched by the
     value of the scaled dual potential, so run until that gap closes.
 
@@ -285,7 +281,7 @@ def _emd_reference(instance, max_outer, x0, z0):
     obj = np.inf
     cert = np.inf
     chunk = 5000
-    while total < max_outer:
+    while total < REFERENCE_MAX_OUTER:
         cfg = instance.config(algorithm="iprepdhg", inner="bcd", p=5,
                               tau=0.001, tol_residual=None, max_outer=chunk,
                               x0=x, z0=z, log_every=chunk)
@@ -307,21 +303,22 @@ def _emd_reference(instance, max_outer, x0, z0):
                              certified=certified, iters=total)
 
 
-def reference_solve(instance, tol=1e-10, max_outer=200000, x0=None, z0=None):
+def reference_solve(instance, tol=1e-10, x0=None, z0=None):
     """High-accuracy solve of a desk-scale instance by the exact-subproblem
-    algorithm, with the a-posteriori ergodic bound as a gap certificate."""
+    algorithm (``REFERENCE_MAX_OUTER`` iterations at most), with the
+    a-posteriori ergodic bound as a gap certificate."""
     prob = instance.problem
     m, n = prob.dims
     if m + n > 20000:
         raise ValueError(f"reference_solve is desk-scale only (m+n={m + n} > 20000)")
     if instance.name == "emd":
-        return _emd_reference(instance, max_outer, x0, z0)
-    kw = {"algorithm": "prepdhg_exact", "tol_residual": tol,
-          "max_outer": max_outer, "x0": x0, "z0": z0, "log_every": max(1, max_outer)}
+        return _emd_reference(instance, x0, z0)
+    kw = {"algorithm": "prepdhg_exact", "tol_residual": tol, "x0": x0, "z0": z0,
+          "max_outer": REFERENCE_MAX_OUTER, "log_every": REFERENCE_MAX_OUTER}
     try:
         cfg = instance.config(inner="bcd", **kw)
         resolved = _solver.validate_config(prob, cfg)
-    except (ValueError, _prox.UnsupportedKindError):
+    except ValueError:
         cfg = instance.config(inner=None, **kw)
         resolved = None
     res = _solver.run(prob, cfg, resolved)

@@ -19,16 +19,16 @@ import scipy.sparse as sp
 
 from . import prox as _prox
 from .operators import (OrderingError, SparseOp, StackedOp, bind_csr_matvec,
-                        power_iteration)
+                        op_norm_sq_estimate, power_iteration)
 from .precond import (BlockDiag, Diagonal, Gram, Preconditioner,
                       ScaledIdentity, gram_precond, ordering_for,
                       scaled_identity)
-from .operators import op_norm_sq_estimate
 
 
 EXACT_TOL = 1e-12      # step-norm tolerance of prepdhg_exact's z-subproblem solve
 GAP_BAND = 1e-12       # a gap from a carried A x_k this close to tol_delta is checked exactly
 GRAM_PRODUCT_NNZ = 1 << 14  # entries of A over which BcdPlan forms blocks in one Gram product
+BCD_GAMMA_GRID = 64    # log-grid points find_bcd_gamma searches
 
 
 class ConfigError(ValueError):
@@ -667,9 +667,9 @@ def _bcd_sweep(sub, plan, c, epochs, z=None):
     return c
 
 
-def m2_norm_estimate(m2, iters=200, tol=1e-10):
+def m2_norm_estimate(m2):
     """Power-iteration estimate of lambda_max(M2), deterministic seeded start."""
-    return power_iteration(m2.apply, m2.dim, iters, tol)
+    return power_iteration(m2.apply, m2.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -705,16 +705,16 @@ def bcd_gamma_feasible(gamma, lam_min, lam_max, l):
     return gamma <= _bcd_gamma_bounds(gamma, lam_min, lam_max, l)
 
 
-def find_bcd_gamma(lam_min, lam_max, l, grid_points=64):
+def find_bcd_gamma(lam_min, lam_max, l):
     """Largest feasible BCD stepsize on a log grid over (0, 2 lam_min/lam_max^2).
 
     The error-constant inequalities are implicit in gamma, so feasibility is
-    resolved numerically.
+    resolved numerically, on ``BCD_GAMMA_GRID`` points.
     """
     if lam_min <= 0:
         raise SingularMetricError("gamma search needs lambda_min(M2) > 0")
     hi = 2.0 * lam_min / lam_max ** 2
-    grid = hi * np.logspace(-12, 0, grid_points, endpoint=False)
+    grid = hi * np.logspace(-12, 0, BCD_GAMMA_GRID, endpoint=False)
     feasible = [g for g in grid if bcd_gamma_feasible(g, lam_min, lam_max, l)]
     if not feasible:
         raise InfeasibleStepsizeError(
@@ -852,11 +852,12 @@ def _fix_heap_thresholds():
     An outer iteration allocates and frees a few MB of array temporaries.
     Under glibc's default, adaptive thresholds, whether they are reused in
     place or handed back to the OS and page-faulted in again on every
-    iteration depends on whatever the process allocated before: on a 256x256
-    TV-L1 instance a 150-iteration PDHG solve took either 0 or ~190000 page
-    faults, 1.2 or 1.7 s on a 2-core Xeon, from one solve to the next.  These
-    are the values the adaptive rule itself reaches after freeing a 32 MB
-    block, so arrays up to 32 MB stay on the heap and the heap stays mapped.
+    iteration depends on whatever the process allocated before: without
+    this fix a 150-iteration solve of the 256x256 TV-L1 benchmark instance
+    took 1.8k-2.8k (PDHG) or 6.9k-7.8k (iPrePDHG) minor page faults, not 0,
+    and its solve times moved by a few percent.  These are the values the
+    adaptive rule itself reaches after freeing a 32 MB block, so arrays up
+    to 32 MB stay on the heap and the heap stays mapped.
     The setting is process-wide; it is skipped where the C library is not
     glibc.
     """

@@ -185,6 +185,70 @@ def test_solve_emd_solution_shape(tmp_path, capsys):
     assert flux.shape == (8, 4)     # two channels stacked
 
 
+def test_solve_graphcut_writes_artifacts(tmp_path, capsys):
+    # the foreground colour on the left, the background colour on the right
+    img = np.zeros((4, 6, 3))
+    img[:, :3] = (0.1, 0.2, 0.9)
+    img[:, 3:] = (0.1, 0.8, 0.2)
+    np.save(tmp_path / "img.npy", img)
+    code = main(["solve", "--output", str(tmp_path), "problem=graphcut",
+                 f"input={tmp_path / 'img.npy'}", "alpha=0.5", "beta=5",
+                 "mu_f=0.1,0.2,0.9", "mu_b=0.1,0.8,0.2", "tol_residual=1e-9",
+                 "max_outer=20000", "prefix=g"])
+    assert code == 0
+    assert "status=converged" in capsys.readouterr().out
+    for name in ("g_trace.csv", "g_solution.csv", "g_solution.pgm"):
+        assert (tmp_path / name).exists()
+    want = np.zeros((4, 6))
+    want[:, :3] = 1.0
+    u = gridio.load_grid_csv(str(tmp_path / "g_solution.csv"))
+    np.testing.assert_allclose(u, want, atol=1e-6)
+    assert gridio.load_pgm(str(tmp_path / "g_solution.pgm")).shape == (4, 6)
+
+
+def test_solve_ct_with_and_without_matrix_file(tmp_path, capsys):
+    # the ray matrix saved to a coordinate file and read back with matrix=
+    # is the one built from angles= and detectors=, so both solves write
+    # the same bytes
+    from pdopt.problems import synth_line_integral_matrix
+    phantom = np.zeros((4, 4))
+    phantom[1:3, 1:3] = 1.0
+    gridio.save_grid_csv(str(tmp_path / "ph.csv"), phantom)
+    gridio.save_coo_matrix(str(tmp_path / "R.coo"),
+                           synth_line_integral_matrix(4, 4, 6, 4, seed=0))
+    common = ["solve", "--output", str(tmp_path), "problem=ct",
+              f"input={tmp_path / 'ph.csv'}", "tol_residual=1e-9",
+              "max_outer=20000", "time_stamps=off"]
+    assert main(common + ["angles=6", "detectors=4", "prefix=synth"]) == 0
+    assert main(common + [f"matrix={tmp_path / 'R.coo'}", "prefix=file"]) == 0
+    assert capsys.readouterr().out.count("status=converged") == 2
+    for name in ("trace.csv", "solution.csv", "solution.pgm"):
+        synth = (tmp_path / f"synth_{name}").read_bytes()
+        assert synth == (tmp_path / f"file_{name}").read_bytes()
+    assert gridio.load_grid_csv(str(tmp_path / "synth_solution.csv")).shape == (4, 4)
+
+
+def test_coo_matrix_round_trip_keeps_the_bits(tmp_path):
+    import scipy.sparse as sp
+    mat = sp.random(7, 5, density=0.4, random_state=3, format="csr")
+    mat.data[0] = 0.1 + 0.2         # a value whose repr needs 17 digits
+    gridio.save_coo_matrix(str(tmp_path / "m.coo"), mat)
+    back = gridio.load_coo_matrix(str(tmp_path / "m.coo"))
+    assert back.shape == mat.shape
+    assert (back != mat).nnz == 0
+    assert np.array_equal(back.data, mat.data)
+
+
+def test_solve_unknown_problem_is_validation_error(noisy_pgm, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["solve", "--output", str(out), "problem=bogus",
+                 f"input={noisy_pgm}"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unknown problem 'bogus'")
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("line", ["log_every=0", "max_outer=-1",
                                   "tol_delta=1e-6", "max_seconds=nan"])
 def test_solve_bad_run_control_is_validation_error(noisy_pgm, tmp_path, line,
@@ -258,6 +322,40 @@ def test_compare_records_crashes_per_row(noisy_pgm, tmp_path, capsys):
     assert all(",error," in l for l in bad)     # negative tau recorded per row
     good = [l for l in lines[1:] if "tau=0.01" in l]
     assert all(",error," not in l for l in good)
+
+
+def test_compare_records_unknown_method_per_row(noisy_pgm, tmp_path, capsys):
+    code = main(["compare", "--output", str(tmp_path), "problem=tvl1",
+                 f"input={noisy_pgm}", "methods=pdhg,bogus", "max_outer=50",
+                 "prefix=u"])
+    assert code == 0
+    capsys.readouterr()
+    lines = (tmp_path / "u_compare.csv").read_text().strip().split("\n")
+    assert len(lines) == 3
+    assert lines[1].startswith("pdhg,algorithm=pdhg tau=0.01,not-converged,50,")
+    assert lines[2].startswith("bogus,algorithm=bogus tau=0.01,error,,,,,"
+                               "unknown method 'bogus'")
+
+
+@pytest.mark.filterwarnings("ignore:zero row sums")
+def test_compare_diagonal_and_exact_preconditioned_rows(noisy_pgm, tmp_path,
+                                                         capsys):
+    code = main(["compare", "--output", str(tmp_path), "problem=tvl1",
+                 f"input={noisy_pgm}", "methods=dp_pdhg,prepdhg",
+                 "taus=0.1,0.01", "tol_residual=1e-7", "max_outer=20000",
+                 "prefix=e"])
+    assert code == 0
+    capsys.readouterr()
+    lines = (tmp_path / "e_compare.csv").read_text().strip().split("\n")
+    rows = [l.split(",") for l in lines[1:]]
+    assert [(r[0], r[1]) for r in rows] == [
+        ("dp_pdhg", "algorithm=dp_pdhg tau=0.1"),
+        ("dp_pdhg", "algorithm=dp_pdhg tau=0.01"),
+        ("prepdhg", "algorithm=prepdhg tau=0.1"),
+        ("prepdhg", "algorithm=prepdhg tau=0.01")]
+    assert all(r[2] == "converged" and r[7] == "" for r in rows)
+    for method in ("dp_pdhg", "prepdhg"):
+        assert sum(r[6] == "1" for r in rows if r[0] == method) == 1
 
 
 @pytest.mark.parametrize("bad", ["taus=abc", "ps=1.5", "taus=0.1,,0.2"])

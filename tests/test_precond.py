@@ -155,9 +155,8 @@ def test_schur_pock_pair_valid():
 
 def test_schur_guard_refuses_large():
     A = Grad2D(40, 40)
-    with pytest.raises(ValueError):
-        validate_schur(scaled_identity(1.0, 1600), gram_precond(A, 1.0), A,
-                       guard=2000)
+    with pytest.raises(ValueError, match=r"m\+n=4800 > 2000"):
+        validate_schur(scaled_identity(1.0, 1600), gram_precond(A, 1.0), A)
 
 
 def test_ct_block_precond_norm_variant():

@@ -99,7 +99,7 @@ def test_emd_identical_marginals_zero_flux():
 def test_emd_adjacent_point_masses_cost_is_cell_distance():
     # all mass moves one cell to the right: cost = grid spacing h
     inst = emd(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
-    assert inst.params["h"] == 0.25
+    assert inst.problem.A.h == 0.25
     res = run(inst.problem, inst.config(max_outer=20000, tol_residual=1e-12))
     assert res.status == "converged"
     assert abs(inst.problem.objective(res.state.x) - 0.25) <= 1e-8

@@ -905,6 +905,31 @@ def test_config_rejects_bad_run_control(fields, match):
             run(prob, cfg)
 
 
+@pytest.mark.parametrize("fields,match", [
+    ({"algorithm": "admm"}, "unknown algorithm"),
+    ({"algorithm": "iprepdhg", "m1": Gram(1.0, Div2D(6, 6))}, "M1 must be"),
+    ({"algorithm": "prepdhg_exact", "m1": Gram(1.0, Div2D(6, 6))}, "M1 must be"),
+    ({"algorithm": "iprepdhg", "inner": "newton"}, "unknown inner"),
+    ({"algorithm": "prepdhg_exact", "inner": "bcd_sweep"}, "unknown inner")])
+def test_config_rejects_unknown_choices(fields, match):
+    # a 36-dim Gram M1 has the right size but no diagonal, so the x-step
+    # would not be a closed-form prox
+    prob = _toy_problem(np.random.default_rng(29))
+    cfg = SolverConfig(tau=0.01, max_outer=2, **fields)
+    with pytest.raises(ConfigError, match=match):
+        validate_config(prob, cfg)
+    with pytest.raises(ConfigError, match=match):
+        run(prob, cfg)
+
+
+@pytest.mark.parametrize("f_dim,g_dim", [(35, 72), (36, 71), (72, 36)])
+def test_problem_rejects_mismatched_dimensions(f_dim, g_dim):
+    # the check runs when the problem is built, before validate_config or
+    # run could see it
+    with pytest.raises(ConfigError, match="dimension mismatch"):
+        SaddleProblem(f=L1(f_dim, lam=1.0), g=L1(g_dim, lam=1.0), A=Grad2D(6, 6))
+
+
 def test_pdhg_rejects_bad_stepsizes():
     prob = _toy_problem(np.random.default_rng(19))
     cfg = SolverConfig(algorithm="pdhg", tau=1.0, sigma=100.0)
