@@ -7,6 +7,7 @@ Exit statuses: 0 success, 2 not converged, 3 validation failure, 4 I/O error,
 """
 
 import argparse
+import csv
 import itertools
 import os
 import sys
@@ -298,7 +299,7 @@ def cmd_compare(args):
     try:
         # opened before any job runs, so a bad path fails fast; run_one
         # records every job's own error, so an OSError here is the file's
-        with open(path, "w") as fh:
+        with open(path, "w", newline="") as fh:
             if n_jobs > 1:
                 with ThreadPoolExecutor(max_workers=n_jobs) as pool:
                     rows = list(pool.map(run_one, jobs))
@@ -311,14 +312,16 @@ def cmd_compare(args):
                     if (r["method"] not in best
                             or r["time_s"] < rows[best[r["method"]]]["time_s"]):
                         best[r["method"]] = i
-            fh.write("method,params,status,outer_iters,time_s,final_delta,best,error\n")
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(["method", "params", "status", "outer_iters", "time_s",
+                          "final_delta", "best", "error"])
             for i, r in enumerate(rows):
                 t = "" if r["time_s"] == "" else format(r["time_s"], ".6f")
                 d = ("" if r["final_delta"] in ("", None)
                      else format(r["final_delta"], ".6e"))
                 mark = "1" if best.get(r["method"]) == i else ""
-                fh.write(f"{r['method']},{r['params']},{r['status']},"
-                         f"{r['outer_iters']},{t},{d},{mark},{r['error']}\n")
+                out.writerow([r["method"], r["params"], r["status"],
+                              r["outer_iters"], t, d, mark, r["error"]])
     except OSError as exc:
         raise CliError(f"cannot write artifacts: {exc}", EXIT_IO)
     print(f"wrote {path} ({len(rows)} rows)")

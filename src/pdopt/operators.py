@@ -11,6 +11,8 @@ gradient, i.e. with the 1/h scaling.  This is forced by the adjoint
 identity the block solvers rely on; see the project README.
 """
 
+import numbers
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
@@ -29,6 +31,16 @@ class InvalidWeightsError(ValueError):
 
 class OrderingError(ValueError):
     """A block ordering is incompatible with the operator it was used on."""
+
+
+def _grid_size(rows, cols):
+    """``(rows, cols)`` as plain ints; ValueError unless both are integers
+    >= 1 (a bool is not one)."""
+    for name, value in (("rows", rows), ("cols", cols)):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or value < 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(rows), int(cols)
 
 
 def _grad_into(u, out, h):
@@ -150,11 +162,16 @@ def div2d(ch1, ch2, h=1.0):
 class LinearOperator:
     """Base class: forward ``matvec`` on R^n -> R^m and adjoint ``rmatvec``.
 
-    Operators are immutable after construction: derived quantities such as
-    ``op_norm_sq_estimate`` are computed once and kept on the operator.
+    Operators are immutable after construction, so a derived quantity such
+    as ``op_norm_sq_estimate`` is computed once.  An operator whose value is
+    fixed by a few numbers (a grid operator: its class, grid and spacing)
+    has a ``value_key`` returning them, and the quantity is kept once per
+    process for every operator with that key; any other operator keeps it
+    on itself.
     """
 
     shape = (0, 0)  # (m, n)
+    value_key = None  # or a method returning the hashable key of the value
 
     def matvec(self, x):
         raise NotImplementedError
@@ -185,12 +202,18 @@ class Grad2D(LinearOperator):
     """2D forward-difference gradient, R^{MN} -> R^{2MN}."""
 
     def __init__(self, rows, cols, h=1.0):
+        rows, cols = _grid_size(rows, cols)
         if not h > 0:         # NaN fails this too
             raise ValueError("h must be positive")
         self.rows = rows
         self.cols = cols
         self.h = float(h)
         self.shape = (2 * rows * cols, rows * cols)
+
+    def value_key(self):
+        """``(kind, rows, cols, h)``, kind the class: the products depend on
+        nothing else."""
+        return type(self), self.rows, self.cols, self.h
 
     def matvec(self, x):
         x = self._check_forward(x)
@@ -231,6 +254,7 @@ class WeightedGrad2D(LinearOperator):
     """diag(w) times the 2D gradient, for strictly positive weights w."""
 
     def __init__(self, rows, cols, w, h=1.0):
+        rows, cols = _grid_size(rows, cols)
         w = np.asarray(w, dtype=float).ravel()
         if w.size != 2 * rows * cols:
             raise DimensionMismatchError("weight vector must have length 2*M*N")
@@ -257,8 +281,10 @@ class Div2D(LinearOperator):
 
     def __init__(self, rows, cols, h=1.0):
         self.grad = Grad2D(rows, cols, h)
-        self.rows, self.cols, self.h = rows, cols, float(h)
-        self.shape = (rows * cols, 2 * rows * cols)
+        self.rows, self.cols, self.h = self.grad.rows, self.grad.cols, self.grad.h
+        self.shape = self.grad.shape[::-1]
+
+    value_key = Grad2D.value_key
 
     def matvec(self, p):
         p = self._check_forward(p).reshape(2, self.rows, self.cols)
@@ -372,17 +398,38 @@ def power_iteration(apply, dim):
     return lam
 
 
+# estimates of keyed operators, one per value key for the whole process.
+# Each is a deterministic function of its key (under the process's BLAS
+# thread count, which splits long dot products), so two threads that miss
+# at once store the same bits, and no lock is needed.
+_ESTIMATES = {}
+
+
+def estimate_once(key, estimate):
+    """``estimate()``, computed the first time ``key`` is asked for in this
+    process and read from the memo after that."""
+    if key not in _ESTIMATES:
+        _ESTIMATES[key] = estimate()
+    return _ESTIMATES[key]
+
+
 def op_norm_sq_estimate(A):
     """Power-iteration estimate of lambda_max(A^T A), times a 1.01 safety factor.
 
-    Computed once per operator: the value is kept on ``A``, which is
-    immutable after construction.
+    Computed once per grid: an operator with a ``value_key`` shares the
+    value with every operator of the same key (``estimate_once``).  Any
+    other operator computes it once and keeps it on itself.
     """
+    def estimate():
+        return 1.01 * power_iteration(lambda v: A.rmatvec(A.matvec(v)), A.shape[1])
+
+    value_key = getattr(A, "value_key", None)
+    if value_key is not None:
+        return estimate_once(value_key(), estimate)
     # an operator without a __dict__ gets a throwaway memo: no caching
     memo = getattr(A, "__dict__", {})
     if "_norm_sq_estimate" not in memo:
-        memo["_norm_sq_estimate"] = 1.01 * power_iteration(
-            lambda v: A.rmatvec(A.matvec(v)), A.shape[1])
+        memo["_norm_sq_estimate"] = estimate()
     return memo["_norm_sq_estimate"]
 
 

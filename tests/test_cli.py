@@ -1,3 +1,4 @@
+import csv
 import os
 import tempfile
 
@@ -330,11 +331,17 @@ def test_compare_records_unknown_method_per_row(noisy_pgm, tmp_path, capsys):
                  "prefix=u"])
     assert code == 0
     capsys.readouterr()
-    lines = (tmp_path / "u_compare.csv").read_text().strip().split("\n")
-    assert len(lines) == 3
-    assert lines[1].startswith("pdhg,algorithm=pdhg tau=0.01,not-converged,50,")
-    assert lines[2].startswith("bogus,algorithm=bogus tau=0.01,error,,,,,"
-                               "unknown method 'bogus'")
+    with open(tmp_path / "u_compare.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 3
+    assert all(len(r) == 8 for r in rows)
+    assert rows[1][:4] == ["pdhg", "algorithm=pdhg tau=0.01", "not-converged", "50"]
+    assert rows[2][:7] == ["bogus", "algorithm=bogus tau=0.01", "error",
+                           "", "", "", ""]
+    # the message lists the known methods, commas and all, in one field
+    assert rows[2][7] == ("unknown method 'bogus'; known: pdhg, dp_pdhg, "
+                          "prepdhg, iprepdhg_bcd, iprepdhg_fista, "
+                          "iprepdhg_proxgrad")
 
 
 @pytest.mark.filterwarnings("ignore:zero row sums")
