@@ -162,16 +162,11 @@ def div2d(ch1, ch2, h=1.0):
 class LinearOperator:
     """Base class: forward ``matvec`` on R^n -> R^m and adjoint ``rmatvec``.
 
-    Operators are immutable after construction, so a derived quantity such
-    as ``op_norm_sq_estimate`` is computed once.  An operator whose value is
-    fixed by a few numbers (a grid operator: its class, grid and spacing)
-    has a ``value_key`` returning them, and the quantity is kept once per
-    process for every operator with that key; any other operator keeps it
-    on itself.
+    Operators are immutable after construction: derived quantities such as
+    ``op_norm_sq_estimate`` are computed once and kept on the operator.
     """
 
     shape = (0, 0)  # (m, n)
-    value_key = None  # or a method returning the hashable key of the value
 
     def matvec(self, x):
         raise NotImplementedError
@@ -182,6 +177,13 @@ class LinearOperator:
     def to_sparse(self):
         """CSR materialization, used by block-structure checks and oracles."""
         raise NotImplementedError
+
+    def normal_product(self):
+        """The map ``v -> A^T A v`` on float vectors of length ``shape[1]``,
+        which ``op_norm_sq_estimate`` iterates: ``rmatvec(matvec(v))``.  A
+        subclass may return a map that writes every result into one buffer,
+        so a caller is done with a result before the next call."""
+        return lambda v: self.rmatvec(self.matvec(v))
 
     def _check_forward(self, x):
         x = np.asarray(x, dtype=float).ravel()
@@ -210,11 +212,6 @@ class Grad2D(LinearOperator):
         self.h = float(h)
         self.shape = (2 * rows * cols, rows * cols)
 
-    def value_key(self):
-        """``(kind, rows, cols, h)``, kind the class: the products depend on
-        nothing else."""
-        return type(self), self.rows, self.cols, self.h
-
     def matvec(self, x):
         x = self._check_forward(x)
         out = np.empty(self.shape[0])
@@ -229,6 +226,39 @@ class Grad2D(LinearOperator):
         out = np.empty(self.shape[1])
         _div_into(z[0], z[1], out.reshape(self.rows, self.cols), -self.h)
         return out
+
+    def normal_product(self):
+        """``v -> A^T A v`` as one stencil over buffers the map keeps, so a
+        call allocates nothing; each result is overwritten by the next call.
+
+        The gradient is ``matvec``'s (``_grad_into``).  The divergence forms
+        ``rmatvec``'s sums with the sign folded in: where ``rmatvec`` adds
+        into zero and divides by ``-h``, this subtracts the same terms in the
+        same order (and adds those it subtracts) and divides by ``h``, or not
+        at all for h == 1, where ``rmatvec``'s division by -1 is a negation.
+        Rounding is symmetric in sign, so every nonzero entry has
+        ``rmatvec(matvec(v))``'s bits.  Adding the stored zeros of the
+        gradient's last row and column in place of ``_div_into``'s column
+        restores can flip the sign of an exact zero, which a power iteration
+        cannot see: a zero adds nothing to its sums and it divides by no
+        entry, so its estimate keeps its bits.
+        """
+        rows, cols, h = self.rows, self.cols, self.h
+        grad = np.empty((2, rows, cols))
+        out = np.empty(rows * cols)
+        grid, ch1, ch2 = out.reshape(rows, cols), grad[0], grad[1].reshape(-1)
+
+        def apply(v):
+            _grad_into(v.reshape(rows, cols), grad, h)
+            np.negative(ch1[0], out=grid[0])
+            np.subtract(ch1[:-1], ch1[1:], out=grid[1:])
+            np.subtract(out, ch2, out=out)
+            np.add(out[1:], ch2[:-1], out=out[1:])
+            if h != 1.0:
+                np.divide(out, h, out=out)
+            return out
+
+        return apply
 
     def to_sparse(self):
         # built straight in canonical CSR form: row r of channel 1 holds
@@ -283,8 +313,6 @@ class Div2D(LinearOperator):
         self.grad = Grad2D(rows, cols, h)
         self.rows, self.cols, self.h = self.grad.rows, self.grad.cols, self.grad.h
         self.shape = self.grad.shape[::-1]
-
-    value_key = Grad2D.value_key
 
     def matvec(self, p):
         p = self._check_forward(p).reshape(2, self.rows, self.cols)
@@ -398,38 +426,18 @@ def power_iteration(apply, dim):
     return lam
 
 
-# estimates of keyed operators, one per value key for the whole process.
-# Each is a deterministic function of its key (under the process's BLAS
-# thread count, which splits long dot products), so two threads that miss
-# at once store the same bits, and no lock is needed.
-_ESTIMATES = {}
-
-
-def estimate_once(key, estimate):
-    """``estimate()``, computed the first time ``key`` is asked for in this
-    process and read from the memo after that."""
-    if key not in _ESTIMATES:
-        _ESTIMATES[key] = estimate()
-    return _ESTIMATES[key]
-
-
 def op_norm_sq_estimate(A):
     """Power-iteration estimate of lambda_max(A^T A), times a 1.01 safety factor.
 
-    Computed once per grid: an operator with a ``value_key`` shares the
-    value with every operator of the same key (``estimate_once``).  Any
-    other operator computes it once and keeps it on itself.
+    Computed once per operator: the value is kept on ``A``, which is
+    immutable after construction.  The iterated map is
+    ``A.normal_product()``.
     """
-    def estimate():
-        return 1.01 * power_iteration(lambda v: A.rmatvec(A.matvec(v)), A.shape[1])
-
-    value_key = getattr(A, "value_key", None)
-    if value_key is not None:
-        return estimate_once(value_key(), estimate)
     # an operator without a __dict__ gets a throwaway memo: no caching
     memo = getattr(A, "__dict__", {})
     if "_norm_sq_estimate" not in memo:
-        memo["_norm_sq_estimate"] = estimate()
+        memo["_norm_sq_estimate"] = 1.01 * power_iteration(
+            A.normal_product(), A.shape[1])
     return memo["_norm_sq_estimate"]
 
 

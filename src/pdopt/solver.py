@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from . import prox as _prox
 from .operators import (OrderingError, SparseOp, StackedOp, bind_csr_matvec,
-                        estimate_once, op_norm_sq_estimate, power_iteration)
+                        op_norm_sq_estimate, power_iteration)
 from .precond import (BlockDiag, Diagonal, Gram, Preconditioner,
                       ScaledIdentity, gram_precond, ordering_for,
                       scaled_identity)
@@ -668,20 +668,8 @@ def _bcd_sweep(sub, plan, c, epochs, z=None):
 
 
 def m2_norm_estimate(m2):
-    """Power-iteration estimate of lambda_max(M2), deterministic seeded start.
-
-    A ``Gram`` metric over an operator with a ``value_key`` is fixed by that
-    key, ``tau`` and ``ridge``, so its estimate is computed once per process
-    for that triple, in the memo ``op_norm_sq_estimate`` keeps
-    (``estimate_once``); any other metric is estimated on every call.
-    """
-    def estimate():
-        return power_iteration(m2.apply, m2.dim)
-
-    value_key = getattr(m2.A, "value_key", None) if isinstance(m2, Gram) else None
-    if value_key is None:
-        return estimate()
-    return estimate_once((value_key(), m2.tau, m2.ridge), estimate)
+    """Power-iteration estimate of lambda_max(M2), deterministic seeded start."""
+    return power_iteration(m2.apply, m2.dim)
 
 
 # ---------------------------------------------------------------------------

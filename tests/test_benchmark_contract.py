@@ -11,9 +11,6 @@ from pathlib import Path
 
 import pytest
 
-import pdopt.operators
-import pdopt.solver
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import bench  # noqa: E402
@@ -43,23 +40,3 @@ def test_tracer_wraps_and_restores_every_target(name):
     assert snapshot() == before
     static = bench.bcd_static(inst, cfgs["iprepdhg"])
     assert static["solver.bcd.spmv_per_epoch"] > 0
-
-
-@pytest.mark.parametrize("name", ["tvl1-64", "emd-32", "tvl1-256"])
-def test_second_setup_runs_no_power_iteration(name, monkeypatch):
-    # a grid operator's ||A||^2 is kept per grid, so the benchmark's
-    # repeated set-up builds new instances without a power iteration
-    w = WORKLOADS[name]
-    inputs = w.make_inputs(0)
-    ref = bench.reference(w, inputs, 0)
-    bench.setup(w, inputs, ref)
-    calls = []
-    for module in (pdopt.operators, pdopt.solver):
-        original = module.power_iteration
-
-        def counting(apply, dim, original=original):
-            calls.append(dim)
-            return original(apply, dim)
-        monkeypatch.setattr(module, "power_iteration", counting)
-    bench.setup(w, inputs, ref)
-    assert calls == []

@@ -1,20 +1,16 @@
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-import pdopt.operators
-import pdopt.solver
 from pdopt.operators import (DimensionMismatchError, Div2D, Grad2D,
                              InvalidWeightsError, OrderingError, SparseOp,
                              StackedOp, WeightedGrad2D, bind_csr_matvec,
                              block_gram, div2d, grad2d, op_norm_sq_estimate,
                              power_iteration)
-from pdopt.precond import (Gram, four_block_ordering, ordering_for,
+from pdopt.precond import (four_block_ordering, ordering_for,
                            trivial_ordering, two_block_ordering)
 
 
@@ -310,6 +306,30 @@ def test_grid_stencils_match_slice_formulas_bit_for_bit(kind, rows, cols, h):
             assert np.max(np.abs(got - want), initial=0.0) <= 1e-15 * scale
 
 
+@pytest.mark.parametrize("h", [1.0, 0.37, 31 / 4])
+@pytest.mark.parametrize("rows,cols", [(1, 6), (5, 1), (1, 1), (2, 2), (4, 7)])
+def test_grad2d_normal_product_is_rmatvec_of_matvec(rows, cols, h):
+    # every nonzero entry has the same bits; an exact zero may differ in sign
+    rng = np.random.default_rng(rows * 100 + cols)
+    op = Grad2D(rows, cols, h)
+    apply = op.normal_product()
+    for _ in range(5):
+        v = _grid_values(rng, op.shape[1])
+        want = op.rmatvec(op.matvec(v))
+        got = apply(v)
+        nonzero = want != 0
+        assert np.array_equal(got != 0, nonzero)
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
+
+
+@pytest.mark.parametrize("rows,cols,h", [(64, 64, 1.0), (32, 128, 31 / 4),
+                                         (128, 32, 0.5), (1, 9, 1.0), (7, 1, 0.37)])
+def test_grad2d_norm_estimate_is_the_power_iteration_of_its_products(rows, cols, h):
+    op = Grad2D(rows, cols, h)
+    want = 1.01 * power_iteration(lambda v: op.rmatvec(op.matvec(v)), op.shape[1])
+    assert float.hex(op_norm_sq_estimate(op)) == float.hex(want)
+
+
 @settings(max_examples=60, deadline=None)
 @given(rows=st.integers(1, 9), cols=st.integers(1, 9),
        h=st.sampled_from([1.0, 0.5, 0.37, 3.0]), seed=st.integers(0, 2 ** 32 - 1))
@@ -520,110 +540,3 @@ def test_grid_operators_keep_sizes_as_plain_ints():
                WeightedGrad2D(3, np.int16(4), np.ones(24))):
         assert type(op.rows) is int and type(op.cols) is int
         assert all(type(d) is int for d in op.shape)
-    assert Grad2D(np.int64(3), 4).value_key() == Grad2D(3, 4, 1).value_key()
-
-
-# the norm-estimate memo: keyed by a grid operator's value, per instance
-# for every other operator
-
-@pytest.fixture
-def fresh_memo(monkeypatch):
-    """An empty process memo, and counts of the power iterations the
-    operator and the solver modules run while the test does."""
-    monkeypatch.setattr(pdopt.operators, "_ESTIMATES", {})
-    calls = {"operators": 0, "solver": 0}
-    for module, name in ((pdopt.operators, "operators"), (pdopt.solver, "solver")):
-        def counting(apply, dim, name=name):
-            calls[name] += 1
-            return power_iteration(apply, dim)
-        monkeypatch.setattr(module, "power_iteration", counting)
-    return calls
-
-
-@pytest.mark.parametrize("make", [lambda: Grad2D(64, 64),
-                                  lambda: Div2D(32, 32, 31 / 4)],
-                         ids=["grad-64", "div-32"])
-def test_memoized_norm_is_the_direct_power_iteration(make):
-    A = make()
-    want = 1.01 * power_iteration(lambda v: A.rmatvec(A.matvec(v)), A.shape[1])
-    assert float.hex(op_norm_sq_estimate(make())) == float.hex(want)
-    assert float.hex(op_norm_sq_estimate(make())) == float.hex(want)
-
-
-def test_memoized_gram_norm_is_the_direct_power_iteration():
-    def make():
-        return Gram(0.3, Div2D(12, 9, 0.7), ridge=0.05)
-
-    m2 = make()
-    want = power_iteration(m2.apply, m2.dim)
-    for _ in range(2):
-        assert float.hex(pdopt.solver.m2_norm_estimate(make())) == float.hex(want)
-
-
-def test_second_instance_on_a_grid_runs_no_power_iteration(fresh_memo):
-    first = op_norm_sq_estimate(Grad2D(16, 24, 0.5))
-    assert fresh_memo["operators"] == 1
-    assert op_norm_sq_estimate(Grad2D(16, 24, 0.5)) == first
-    op_norm_sq_estimate(Div2D(8, 8))
-    op_norm_sq_estimate(Div2D(8, 8))
-    assert fresh_memo["operators"] == 2
-    m2_first = pdopt.solver.m2_norm_estimate(Gram(0.1, Grad2D(16, 24, 0.5)))
-    assert pdopt.solver.m2_norm_estimate(Gram(0.1, Grad2D(16, 24, 0.5))) == m2_first
-    assert fresh_memo["solver"] == 1
-    # a different tau or ridge is a different metric
-    pdopt.solver.m2_norm_estimate(Gram(0.2, Grad2D(16, 24, 0.5)))
-    pdopt.solver.m2_norm_estimate(Gram(0.1, Grad2D(16, 24, 0.5), ridge=1.0))
-    assert fresh_memo["solver"] == 3
-
-
-def test_value_keys_tell_grids_spacings_and_kinds_apart():
-    keys = [Grad2D(32, 128).value_key(), Grad2D(128, 32).value_key(),
-            Grad2D(32, 128, 0.5).value_key(), Div2D(32, 128).value_key(),
-            Div2D(128, 32).value_key()]
-    assert len(set(keys)) == len(keys)
-    assert Div2D(32, 128).value_key() == Div2D(32, 128, 1).value_key()
-
-
-def test_unkeyed_operators_estimate_per_instance(fresh_memo):
-    rng = np.random.default_rng(5)
-    w = rng.uniform(0.5, 2.0, 2 * 6 * 7)
-    mat = sp.random(9, 9, density=0.4, random_state=3, format="csr")
-    for make in (lambda: WeightedGrad2D(6, 7, w), lambda: SparseOp(mat)):
-        before = fresh_memo["operators"]
-        a, b = make(), make()
-        assert op_norm_sq_estimate(a) == op_norm_sq_estimate(b)
-        op_norm_sq_estimate(a)
-        assert fresh_memo["operators"] == before + 2
-    m2 = Gram(0.1, SparseOp(mat))
-    pdopt.solver.m2_norm_estimate(m2)
-    pdopt.solver.m2_norm_estimate(m2)
-    assert fresh_memo["solver"] == 2
-    assert pdopt.operators._ESTIMATES == {}
-
-
-def test_first_calls_from_many_threads_get_equal_bits(fresh_memo):
-    # more threads than cores, switching often, all missing the memo at once
-    n = 6
-    start = threading.Barrier(n)
-    got = [None] * n
-
-    def first_call(i):
-        op = Grad2D(40, 24)
-        start.wait(timeout=30)
-        got[i] = op_norm_sq_estimate(op)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=first_call, args=(i,)) for i in range(n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    A = Grad2D(40, 24)
-    want = 1.01 * power_iteration(lambda v: A.rmatvec(A.matvec(v)), A.shape[1])
-    assert [float.hex(v) for v in got] == [float.hex(want)] * n
-    assert float.hex(op_norm_sq_estimate(A)) == float.hex(want)
