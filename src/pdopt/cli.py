@@ -246,12 +246,12 @@ def _method_config(instance, method, tau, p, cfg):
                                tau=tau, m1=m1, m2=m2, **common)
     if method == "prepdhg":
         return instance.config(algorithm="prepdhg_exact", inner=None, p=1,
-                               tau=tau, m1=None, m2=None, **common)
+                               tau=tau, **common)
     if method.startswith("iprepdhg_"):
         inner = {"bcd": "bcd", "fista": "fista_restart",
                  "proxgrad": "proxgrad"}[method.split("_", 1)[1]]
         return instance.config(algorithm="iprepdhg", inner=inner, p=p, tau=tau,
-                               m1=None, m2=None, **common)
+                               **common)
     raise CliError(f"unknown method {method!r}; known: {', '.join(_METHODS)}")
 
 
@@ -522,7 +522,10 @@ def cmd_validate(args):
 def cmd_oracle(args):
     cfg = parse_config(args)
     instance = build_problem(cfg)
-    ref = problems.reference_solve(instance, tol=cfg.get("tol", 1e-10))
+    try:
+        ref = problems.reference_solve(instance, tol=cfg.get("tol", 1e-10))
+    except ValueError as exc:
+        raise CliError(f"oracle: {exc}") from None
     outdir = _output_dir(cfg, args)
     prefix = cfg.get("prefix", instance.name)
     try:

@@ -491,8 +491,8 @@ class Concat(ProxFunction):
 
 
 def _moreau_kernel(phi, t):
-    """``v -> conj_prox_via_moreau(phi, v, t)``, the same bits, with phi's
-    prox bound at the metric ``t`` once."""
+    """``v -> conj_prox_via_moreau(phi, v, t)`` with phi's prox bound at the
+    metric ``t`` once: ``(v/t - prox(v/t)) * t``."""
     t = _metric(t)
     prox = phi.prox_kernel(t)
 
@@ -512,9 +512,7 @@ def conj_prox_via_moreau(phi, w, d):
     identity  x = prox^M_phi(x) + M^{-1} prox^{M^{-1}}_{phi*}(M x)  gives the
     conjugate prox without a second closed form.
     """
-    w = np.asarray(w, dtype=float)
-    d = _metric(d)
-    return d * (w / d - phi.prox(w / d, d))
+    return _moreau_kernel(phi, d)(w)
 
 
 def conj_prox(phi, v, d):

@@ -13,6 +13,7 @@ import numbers
 import os
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -324,68 +325,76 @@ def _gram_block(gram, rows, start, n_live, scale, n_diag):
                       shape))
 
 
+def _steps(inv_step, step):
+    """``(inv_step, step)`` of a segment's solved rows, each a float when
+    the step is the same on every row."""
+    if step.size and step.min() == step.max():
+        return float(inv_step[0]), float(step[0])
+    return inv_step, step
+
+
+class DiagSegment(NamedTuple):
+    """A diagonal block ``diag(e)`` of M2 over plan positions ``lo:hi``,
+    which hold A's rows ``lo:hi`` in order."""
+
+    kind: str           # "diag"
+    lo: int
+    hi: int
+    e: np.ndarray
+    rows: slice         # the rows the sweep solves: all of lo:hi
+    inv_step: object    # e, a float when it is the same on every row
+    step: object        # 1/e, likewise
+    dead: slice         # none: an empty range
+
+
+class GramBlock(NamedTuple):
+    """One colour block of a Gram segment.  ``G_b``, the block's rows of
+    ``A A^T`` with the self-coupling removed, scaled row-wise by ``tau/h``,
+    with columns over the live range, is held in two CSR parts, each row's
+    entries in ``G_b``'s order (a stable partition of each row)."""
+
+    sl: slice           # the block's positions in the segment's live range
+    lower: object       # (v, out) -> out + l_b @ v, bound once; None if l_b is empty
+    upper: object       # the same with u_b
+    l_b: sp.csr_matrix  # G_b's columns before the block
+    u_b: sp.csr_matrix  # G_b's columns after the block
+
+
+class GramSegment(NamedTuple):
+    """A Gram block ``tau B B^T + ridge I`` of M2 over plan positions
+    ``lo:hi``: its live rows, those with ``h = tau ||b_i||^2 + ridge > 0``,
+    colour block by colour block, then its dead rows (``h = 0``), which the
+    sweep never touches."""
+
+    kind: str           # "gram"
+    lo: int
+    hi: int
+    idx: np.ndarray     # the rows of A at the live positions
+    inv_h: np.ndarray   # 1/h over the live rows
+    rows: slice         # the live rows, lo:lo + idx.size
+    inv_step: object    # 1/inv_h, a float when it is the same on every live row
+    step: object        # inv_h, likewise
+    dead: slice         # the dead rows, lo + idx.size:hi
+    blocks: list        # one GramBlock per colour block with live rows
+
+
 class BcdPlan:
     """Precomputed structure for cyclic block-coordinate sweeps, in plan order.
 
-    Splits the dual space into segments following M2's block structure and
-    fixes the plan order of the dual coordinates: ``order[i]`` is the row of
-    A at plan position ``i``.  Each segment keeps its row range ``lo:hi``;
-    inside a Gram segment the order is the live rows colour block by colour
-    block, then the dead rows.  ``permute(v)`` takes a dual vector from A's
-    row order into plan order and ``unpermute`` takes it back.  ``op`` is a
+    Splits the dual space into ``segments`` following M2's block structure,
+    one ``DiagSegment`` or ``GramSegment`` per block, and fixes the plan
+    order of the dual coordinates: ``order[i]`` is the row of A at plan
+    position ``i``.  ``permute(v)`` takes a dual vector from A's row order
+    into plan order and ``unpermute`` takes it back.  ``op`` is a
     ``SparseOp`` of A's rows in plan order, so ``op.matvec(x)`` is
     ``permute(A.matvec(x))`` and ``op.rmatvec(permute(z))`` is
     ``A.rmatvec(z)``, both up to rounding: a run that sweeps the plan keeps
     its dual iterate in plan order and pairs it with ``op``.
 
-    A diagonal segment ``("diag", lo, hi, e)`` is minimized exactly in one
-    shot.  A Gram segment ``("gram", lo, hi, idx, inv_h, blocks)`` has its
-    live rows at plan positions ``lo:lo + idx.size``, one contiguous range;
-    ``idx`` lists the rows of A they hold.  Rows with
-    ``h = tau ||a_i||^2 + ridge = 0`` are dead: they come last in the
-    segment and are never touched.  ``inv_h`` is ``1/h`` over the live
-    range, and ``blocks`` holds one ``(slice, L_b, U_b)`` triple per colour
-    block, the slice relative to the live range.  ``G_b``, the block's rows
-    of ``A A^T`` with the self-coupling removed, scaled row-wise by
-    ``tau/h``, with columns over the live range, is held in two CSR parts:
-    ``L_b`` has its columns before the block and ``U_b`` those after it,
-    each row's entries in ``G_b``'s order (a stable partition of each row).
-    Each ``G_b`` is formed by its own product of the block's rows in plan
-    order with the transpose of the segment's rows, taken from ``op``'s rows
-    when the Gram operator is A or A's block over those rows, and its parts
-    are gathered from it into arrays of their own; the product is dropped
-    before the next one is formed, so the build holds about one block's
-    Gram rows beyond what the plan keeps.  Consecutive blocks whose rows
-    hold at most ``GRAM_PRODUCT_NNZ`` entries of A share one product, so a
-    small plan pays one product's call overhead, not one per block.  The
-    product forms each row on its own, so the parts have the same bits
-    however the rows are grouped.  Building them also checks the ordering:
-    an off-diagonal entry of ``A A^T`` inside a block raises OrderingError.
-    ``dead`` lists the plan-order ranges of dead rows, one slice per Gram
-    segment that has any.  ``products`` holds, per segment, ``None`` for a
-    diagonal one and, for a Gram one, one ``(slice, lower, upper)`` triple
-    per colour block: ``(v, out) -> out + L_b @ v`` and the same with
-    ``U_b``, each bound once (``bind_csr_matvec``), or None for a part with
-    no entries.
-
     A sweep's right-hand side is ``c = z_ref + S q``, with ``q = A t`` in
-    plan order and ``S`` the rows' steps: ``1/e`` on a diagonal segment,
-    ``inv_h`` on a Gram segment's live rows, nothing on dead rows (``c``
-    holds ``z_ref`` there).  ``rhs(z_ref, q)`` forms it from ``q``, as the
-    row-order entry points do.  ``forward_rhs(z_ref, t)`` forms it from
-    ``t`` without a ``q``: ``op``'s bound product accumulates ``A t`` into
-    ``S^-1 z_ref``, then the rows are scaled by ``S`` in place (a step that
-    is the same on all of a segment's rows is held as a float).  The two
-    agree up to rounding.  The sweep then writes the new z over ``c``.
-
-    ``bind(g)`` gives every diagonal segment and every colour block its
-    scalar conjugate prox of ``g`` at the block's fixed step (``1/e`` or
-    ``inv_h``), from ``g.conj_prox_kernel``: a ``Concat`` resolves to the
-    one part that holds the block, and the part's constants times the step
-    are gathered once in plan order (nothing is stored for zero constants).
-    A block spread over several ``Concat`` parts routes through masks fixed
-    at binding.  ``validate_config`` binds ``problem.g``; a sweep with any
-    other ``g`` rebinds the plan first.
+    plan order and ``S`` the segments' steps over their solved rows;
+    ``rhs`` or ``forward_rhs`` forms it, and the sweep writes the new z
+    over it.  ``bind(g)`` gives the sweep its kernels of ``g``.
     """
 
     def __init__(self, A, m2, ordering=None):
@@ -404,13 +413,13 @@ class BcdPlan:
         mat = A.to_sparse().tocsr()
         mat.sum_duplicates()    # op's rows and the row norms read it canonical
         layouts, orders = [], []
-        self.num_blocks = 0
         for lo, hi, part, rows_op in parts:
             lo, hi = int(lo), int(hi)
             if isinstance(part, (Diagonal, ScaledIdentity)):
-                layouts.append(("diag", lo, hi, part.diagonal()))
+                e = part.diagonal()
+                layouts.append(DiagSegment("diag", lo, hi, e, slice(lo, hi),
+                                           *_steps(e, 1.0 / e), slice(hi, hi)))
                 orders.append(np.arange(lo, hi))
-                self.num_blocks += 1
             elif isinstance(part, Gram):
                 blocks = (ordering if ordering is not None and part is m2
                           else ordering_for(part.A)).blocks
@@ -423,11 +432,9 @@ class BcdPlan:
                 order, layout = self._gram_layout(
                     _row_norms_sq(_row_slice(mat, lo, hi) if own is None else own),
                     part.tau, part.ridge, blocks)
-                layouts.append(("gram", lo, part.tau,
-                                None if own is None else own[order], layout))
+                layouts.append((lo, part.tau, None if own is None else own[order], layout))
                 orders.append(order + lo)
                 del order, own      # not held while the Gram rows are formed
-                self.num_blocks += len(blocks)
             else:
                 raise ConfigError(
                     f"unsupported M2 block {type(part).__name__} for BCD")
@@ -435,32 +442,9 @@ class BcdPlan:
         del orders
         self.op = SparseOp.adopt(mat[self.order].astype(float, copy=False))
         del mat
-        self.segments = [seg if seg[0] == "diag" else
-                         self._gram_segment(*seg[1:]) for seg in layouts]
-        self.dead = [slice(seg[1] + seg[3].size, seg[2]) for seg in self.segments
-                     if seg[0] == "gram" and seg[1] + seg[3].size < seg[2]]
-        self.products = [None if seg[0] == "diag" else
-                         [(sl,) + tuple(None if half.nnz == 0 else
-                                        bind_csr_matvec(half) for half in halves)
-                          for sl, *halves in seg[5]]
-                         for seg in self.segments]
+        self.segments = [seg if isinstance(seg, DiagSegment) else
+                         self._gram_segment(*seg) for seg in layouts]
         self._forward = bind_csr_matvec(self.op.mat)
-        self._row_steps = [self._steps_of(seg) for seg in self.segments]
-
-    @staticmethod
-    def _steps_of(seg):
-        """``(rows, 1/s, s)`` of one segment: its rows that the sweep solves
-        and their step ``s`` (``1/e``, or ``inv_h`` on a Gram segment's live
-        rows), each a float when it is the same on every row."""
-        if seg[0] == "diag":
-            _, lo, hi, e = seg
-            rows, inv_step, step = slice(lo, hi), e, 1.0 / e
-        else:
-            _, lo, _, idx, inv_h, _ = seg
-            rows, inv_step, step = slice(lo, lo + idx.size), 1.0 / inv_h, inv_h
-        if step.size and step.min() == step.max():
-            inv_step, step = float(inv_step[0]), float(step[0])
-        return rows, inv_step, step
 
     @staticmethod
     def _gram_layout(d, tau, ridge, blocks):
@@ -479,9 +463,20 @@ class BcdPlan:
                        [np.count_nonzero(d[rows]) for rows in live_blocks])
 
     def _gram_segment(self, lo, tau, rows, layout):
-        """The segment's ``(slice, L_b, U_b)`` triples, from products of its
-        colour blocks' rows in plan order (``op``'s when ``rows`` is None)
-        with the transpose of the segment's rows."""
+        """The ``GramSegment`` at plan position ``lo``.
+
+        Each ``G_b`` is formed by its own product of the block's rows in
+        plan order with the transpose of the segment's ``rows`` (``op``'s
+        when None: the Gram operator is A or A's block over those rows), and
+        its parts are gathered from it into arrays of their own; the product
+        is dropped before the next one is formed, so the build holds about
+        one block's Gram rows beyond what the plan keeps.  Consecutive
+        blocks whose rows hold at most ``GRAM_PRODUCT_NNZ`` entries of A
+        share one product, so a small plan pays one product's call overhead,
+        not one per block.  The product forms each row on its own, so the
+        parts have the same bits however the rows are grouped.  Building
+        them also checks the ordering: an off-diagonal entry of ``A A^T``
+        inside a block raises OrderingError."""
         n_rows, h, sizes, diag = layout
         n_live = h.size
         if rows is None:            # op's rows lo:lo + n_rows, and their transpose
@@ -509,12 +504,17 @@ class BcdPlan:
             for k in range(first, last):
                 start, stop = int(bounds[k]), int(bounds[k + 1])
                 if start < stop:
-                    blocks.append((slice(start, stop),) + _gram_block(
-                        gram, slice(start - top, stop - top), start, n_live,
-                        tau / h[start:stop], diag[k]))
+                    l_b, u_b = _gram_block(gram, slice(start - top, stop - top), start,
+                                           n_live, tau / h[start:stop], diag[k])
+                    lower, upper = (None if part.nnz == 0 else bind_csr_matvec(part)
+                                    for part in (l_b, u_b))
+                    blocks.append(GramBlock(slice(start, stop), lower, upper, l_b, u_b))
             del gram
             first = last
-        return ("gram", lo, lo + n_rows, self.order[lo:lo + n_live], 1.0 / h, blocks)
+        inv_h = 1.0 / h
+        return GramSegment("gram", lo, lo + n_rows, self.order[lo:lo + n_live], inv_h,
+                           slice(lo, lo + n_live), *_steps(1.0 / inv_h, inv_h),
+                           slice(lo + n_live, lo + n_rows), blocks)
 
     def permute(self, v):
         """The dual vector ``v`` (A's row order) in plan order."""
@@ -534,10 +534,10 @@ class BcdPlan:
 
     def rhs(self, z_ref, q):
         """The sweep's right-hand side ``z_ref + S q`` from ``q = A t``, both
-        in plan order: a new array."""
+        in plan order, as the row-order entry points form it: a new array."""
         c = z_ref.copy()
-        for rows, _, step in self._row_steps:
-            c[rows] += q[rows] * step
+        for seg in self.segments:
+            c[seg.rows] += q[seg.rows] * seg.step
         return c
 
     def forward_rhs(self, z_ref, t):
@@ -549,29 +549,34 @@ class BcdPlan:
         by their steps, so each row sums A's terms before it is scaled, as
         ``q`` does, and no ``q`` is formed.  Dead rows take ``z_ref``'s bits."""
         c = np.empty(z_ref.size)
-        for rows, inv_step, _ in self._row_steps:
-            np.multiply(z_ref[rows], inv_step, out=c[rows])
+        for seg in self.segments:
+            np.multiply(z_ref[seg.rows], seg.inv_step, out=c[seg.rows])
         self._forward(t, c)
-        for rows, _, step in self._row_steps:
-            c[rows] *= step
-        for dead in self.dead:
-            c[dead] = z_ref[dead]
+        for seg in self.segments:
+            c[seg.rows] *= seg.step
+            c[seg.dead] = z_ref[seg.dead]
         return c
 
     def bind(self, g):
         """The per-segment kernels of ``g``: one for a diagonal segment, a
-        list with one per colour block for a Gram segment.  Raises
+        list with one per colour block for a Gram segment, each the scalar
+        conjugate prox of ``g`` at the rows' fixed step (``1/e`` or
+        ``inv_h``) from ``g.conj_prox_kernel``.  A ``Concat`` resolves to the
+        one part that holds the block, and the part's constants times the
+        step are gathered once in plan order (nothing is stored for zero
+        constants); a block spread over several parts routes through masks
+        fixed at binding.  ``validate_config`` binds ``problem.g``; a sweep
+        with any other ``g`` rebinds the plan first.  Raises
         UnsupportedKindError if ``g`` has no scalar conjugate prox."""
         if g is not self.g:
             kernels = []
             for seg in self.segments:
-                if seg[0] == "diag":
-                    _, lo, hi, e = seg
-                    kernels.append(g.conj_prox_kernel(1.0 / e, np.arange(lo, hi)))
+                if seg.kind == "diag":
+                    kernels.append(g.conj_prox_kernel(1.0 / seg.e,
+                                                      np.arange(seg.lo, seg.hi)))
                 else:
-                    _, _, _, idx, inv_h, blocks = seg
-                    kernels.append([g.conj_prox_kernel(inv_h[sl], idx[sl])
-                                    for sl, *_ in blocks])
+                    kernels.append([g.conj_prox_kernel(seg.inv_h[blk.sl], seg.idx[blk.sl])
+                                    for blk in seg.blocks])
             self.g, self.kernels = g, kernels
         return self.kernels
 
@@ -630,7 +635,7 @@ def _bcd_sweep(sub, plan, c, epochs, z=None):
     sets ``e_b = z_ref_b - kernel_b(c_b + G_b e)``, the block minimizer
     ``kernel_b(c_b - G_b dz)`` with ``dz = z - z_ref = -e``.  ``G_b e`` is
     ``L_b e`` and then ``U_b e`` accumulated into a copy of ``c_b`` (see
-    ``BcdPlan``), or into ``c_b`` itself in the last epoch, which reads it
+    ``GramBlock``), or into ``c_b`` itself in the last epoch, which reads it
     for the last time, so no zero fill and no subtraction pass; with no
     product to add the kernel reads ``c_b`` as it is.  In a first epoch
     from z_ref the blocks not yet swept have ``e = 0``, so it reads
@@ -638,22 +643,18 @@ def _bcd_sweep(sub, plan, c, epochs, z=None):
     range of ``c`` becomes ``z_ref - e``, which is ``z_ref + dz`` bit for
     bit.  Dead rows of ``c`` are not touched.
     """
-    for seg, kernel, products in zip(plan.segments, plan.bind(sub.g),
-                                     plan.products):
-        if seg[0] == "diag":
-            _, lo, hi, _ = seg
-            c[lo:hi] = kernel(c[lo:hi])
+    for seg, kernel in zip(plan.segments, plan.bind(sub.g)):
+        rhs = c[seg.rows]
+        if seg.kind == "diag":
+            c[seg.rows] = kernel(rhs)
             continue
-        _, lo, _, idx, _, _ = seg
-        live = slice(lo, lo + idx.size)
-        z_ref, rhs = sub.z_ref[live], c[live]
+        z_ref = sub.z_ref[seg.rows]
         first = z is None       # e holds only the blocks swept so far
-        e = np.empty(idx.size) if first else z_ref - z[live]
+        e = np.empty(seg.idx.size) if first else z_ref - z[seg.rows]
         for epoch in range(epochs, 0, -1):
-            for (sl, lower, upper), block_kernel in zip(products, kernel):
-                if first:
-                    upper = None
-                v = rhs[sl]
+            for blk, block_kernel in zip(seg.blocks, kernel):
+                lower, upper = blk.lower, None if first else blk.upper
+                v = rhs[blk.sl]
                 if lower is not None or upper is not None:
                     if epoch > 1:
                         v = v.copy()
@@ -661,7 +662,7 @@ def _bcd_sweep(sub, plan, c, epochs, z=None):
                         lower(e, v)
                     if upper is not None:
                         upper(e, v)
-                np.subtract(z_ref[sl], block_kernel(v), out=e[sl])
+                np.subtract(z_ref[blk.sl], block_kernel(v), out=e[blk.sl])
             first = False
         np.subtract(z_ref, e, out=rhs)
     return c
@@ -910,7 +911,8 @@ def validate_config(problem, config):
     (``plan.order``) and pairs it with ``plan.op``, and ``run()`` permutes
     z at the edges of the run.  Raises ConfigError for a configuration that
     cannot run, or whose fields would not do what they say: pdhg takes no
-    ``inner``, ``m1``, ``m2`` or ``gamma``; ``p``, ``max_outer`` and
+    ``inner``, ``m1``, ``m2`` or ``gamma``, the other two no ``sigma``, and
+    prepdhg_exact no ``inner="proxgrad"``; ``p``, ``max_outer`` and
     ``log_every`` must be integers >= 1; ``tol_delta``, ``tol_residual``
     and ``max_seconds``, when set, finite and >= 0; ``phi_star`` finite;
     and ``tol_delta`` needs ``phi_star``.
@@ -970,6 +972,13 @@ def validate_config(problem, config):
             return x_new, z_new, None, q
 
         return {"sigma": sigma, "f_prox": f_prox, "step": step}
+    # fields the preconditioned steps would silently ignore: m2 sets the
+    # dual step, and prepdhg_exact's z-solve runs BCD or FISTA to tolerance
+    if cfg.sigma is not None:
+        raise ConfigError(f"{cfg.algorithm} takes no sigma: its dual step is m2")
+    if cfg.algorithm == "prepdhg_exact" and cfg.inner == "proxgrad":
+        raise ConfigError("prepdhg_exact takes no inner='proxgrad': its exact "
+                          "z-solve is bcd or fista_restart")
     m1 = cfg.m1 if cfg.m1 is not None else scaled_identity(cfg.tau, n)
     m2 = cfg.m2 if cfg.m2 is not None else gram_precond(problem.A, cfg.tau)
     if not isinstance(m1, (ScaledIdentity, Diagonal)):

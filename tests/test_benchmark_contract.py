@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from pdopt.solver import GramSegment, validate_config
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import bench  # noqa: E402
@@ -38,5 +40,13 @@ def test_tracer_wraps_and_restores_every_target(name):
     finally:
         tracer.restore()
     assert snapshot() == before
+    # the static counts read every GramBlock's two parts: a record the
+    # benchmark's walk of plan.segments does not enter fails here
     static = bench.bcd_static(inst, cfgs["iprepdhg"])
-    assert static["solver.bcd.spmv_per_epoch"] > 0
+    plan = validate_config(problem, cfgs["iprepdhg"])["plan"]
+    blocks = [blk for seg in plan.segments if isinstance(seg, GramSegment)
+              for blk in seg.blocks]
+    assert blocks
+    assert static["solver.bcd.spmv_per_epoch"] == 2 * len(blocks)
+    assert static["solver.bcd.nnz_per_epoch"] == sum(blk.l_b.nnz + blk.u_b.nnz
+                                                     for blk in blocks)

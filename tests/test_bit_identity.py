@@ -40,31 +40,31 @@ from pdopt.solver import (BcdPlan, ZSubproblem, inner_bcd, run,
                           solve_subproblem_exact, validate_config)
 
 
-def _gram_product(sl, lower, upper, v):
+def _gram_product(blk, v):
     """``G_b @ v`` as the plan holds it: ``L_b``'s terms, then ``U_b``'s
     added into the same output."""
-    out = np.zeros(sl.stop - sl.start)
-    for part in (lower, upper):
+    out = np.zeros(blk.sl.stop - blk.sl.start)
+    for part in (blk.lower, blk.upper):
         if part is not None:
             part(v, out)
     return out
 
 
 def _old_bcd_sweep(sub, plan, z, epochs, at_ref=False):
-    for seg, kernel, products in zip(plan.segments, plan.bind(sub.g),
-                                     plan.products):
-        if seg[0] == "diag":
-            _, lo, hi, e = seg
-            z[lo:hi] = kernel(sub.z_ref[lo:hi] + sub.q[lo:hi] / e)
+    for seg, kernel in zip(plan.segments, plan.bind(sub.g)):
+        if seg.kind == "diag":
+            lo, hi = seg.lo, seg.hi
+            z[lo:hi] = kernel(sub.z_ref[lo:hi] + sub.q[lo:hi] / seg.e)
         else:
-            _, _, _, idx, inv_h, _ = seg
+            idx = seg.idx
             z_ref = sub.z_ref[idx]
-            c = z_ref + sub.q[idx] * inv_h
+            c = z_ref + sub.q[idx] * seg.inv_h
             dz = np.zeros(idx.size) if at_ref else z[idx] - z_ref
             skip = at_ref
             for _ in range(epochs):
-                for (sl, *parts), block_kernel in zip(products, kernel):
-                    v = c[sl] if skip else c[sl] - _gram_product(sl, *parts, dz)
+                for blk, block_kernel in zip(seg.blocks, kernel):
+                    sl = blk.sl
+                    v = c[sl] if skip else c[sl] - _gram_product(blk, dz)
                     skip = False
                     dz[sl] = block_kernel(v) - z_ref[sl]
             z[idx] = z_ref + dz
@@ -217,8 +217,8 @@ def test_bcd_sweep_is_the_old_sweep_byte_for_byte():
         plan = BcdPlan(inst.problem.A, m2)
         m = inst.problem.dims[0]
         is_dead = np.zeros(m, dtype=bool)
-        for sl in plan.dead:
-            is_dead[sl] = True
+        for seg in plan.segments:
+            is_dead[seg.dead] = True
         dead = plan.order[is_dead]      # rows of A; EMD's Div2D has none
         assert dead.size or inst.name == "emd"
         for g in (inst.problem.g, L1(m, lam=0.6, shift=rng.standard_normal(m))):
@@ -515,12 +515,12 @@ def _plan_digest(plan):
     for mat in (plan.op.mat, plan.op.mat_t):
         arrays += [mat.data, mat.indices, mat.indptr]
     for seg in plan.segments:
-        if seg[0] == "diag":
-            arrays.append(seg[3])
+        if seg.kind == "diag":
+            arrays.append(seg.e)
         else:
-            arrays.append(seg[4])
-            for _, *parts in seg[5]:
-                for part in parts:
+            arrays.append(seg.inv_h)
+            for blk in seg.blocks:
+                for part in (blk.l_b, blk.u_b):
                     arrays += [part.data, part.indices, part.indptr]
     h = hashlib.sha256()
     for arr in arrays:
@@ -571,7 +571,7 @@ def test_bcd_plan_build_peak_is_near_what_it_keeps():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert plan.num_blocks == 4
+    assert [len(seg.blocks) for seg in plan.segments] == [4]
     assert peak - start <= 1.5 * (kept - start)
 
 

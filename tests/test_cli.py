@@ -365,6 +365,25 @@ def test_compare_diagonal_and_exact_preconditioned_rows(noisy_pgm, tmp_path,
         assert sum(r[6] == "1" for r in rows if r[0] == method) == 1
 
 
+def test_compare_ct_rows_use_the_recommended_block_preconditioner(tmp_path,
+                                                                 capsys):
+    # ct recommends ct_block_precond's metrics; iprepdhg_bcd sweeps them,
+    # where Gram(tau A A^T) over the stacked operator has no block ordering
+    phantom = np.zeros((8, 8))
+    phantom[2:6, 2:6] = 1.0
+    gridio.save_grid_csv(str(tmp_path / "ph.csv"), phantom)
+    code = main(["compare", "--output", str(tmp_path), "problem=ct",
+                 f"input={tmp_path / 'ph.csv'}", "angles=6", "detectors=8",
+                 "methods=pdhg,iprepdhg_bcd", "tol_residual=1e-7",
+                 "max_outer=20000", "prefix=ct"])
+    assert code == 0
+    capsys.readouterr()
+    with open(tmp_path / "ct_compare.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["method"] for r in rows] == ["pdhg", "iprepdhg_bcd"]
+    assert all(r["status"] == "converged" and r["error"] == "" for r in rows)
+
+
 @pytest.mark.parametrize("bad", ["taus=abc", "ps=1.5", "taus=0.1,,0.2"])
 def test_compare_malformed_list_is_validation_error(noisy_pgm, tmp_path,
                                                     capsys, bad):
@@ -497,6 +516,17 @@ def test_oracle_command(noisy_pgm, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "phi_star=" in out and "certified=True" in out
     assert os.path.exists(os.path.join(tmp_path, "o_oracle_solution.csv"))
+
+
+def test_oracle_past_the_desk_scale_guard_is_validation_error(tmp_path, capsys):
+    # a 90x90 TV-L1 has m + n = 24300 > 20000: reference_solve refuses it
+    path = str(tmp_path / "big.csv")
+    gridio.save_grid_csv(path, np.random.default_rng(5).random((90, 90)))
+    code = main(["oracle", "--output", str(tmp_path), "problem=tvl1",
+                 f"input={path}"])
+    assert code == 3
+    assert "desk-scale only (m+n=24300 > 20000)" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(tmp_path, "tvl1_oracle_solution.csv"))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -239,8 +239,8 @@ def test_inner_bcd_ct_block_plan_is_gauss_seidel():
     q = rng.standard_normal(m)
     sub = ZSubproblem(z_ref, q, m2, g)
     plan = BcdPlan(A, m2)
-    assert [seg[0] for seg in plan.segments] == ["diag", "gram"]
-    assert plan.num_blocks == 5
+    assert [seg.kind for seg in plan.segments] == ["diag", "gram"]
+    assert len(plan.segments[1].blocks) == 4
 
     dense = m2.dense()
     order = [np.arange(5)] + [5 + b for b in four_block_ordering(3, 3).blocks]
@@ -289,8 +289,8 @@ def test_ct_plan_reads_the_gram_rows_from_op(monkeypatch):
     own = BcdPlan(A, m2_own)
     assert builds == [m2_own.parts[1].A]
     assert own.order.tobytes() == shared.order.tobytes()
-    for a, b in zip(own.segments[1][5], shared.segments[1][5]):
-        for x, y in zip(a[1:], b[1:]):
+    for a, b in zip(own.segments[1].blocks, shared.segments[1].blocks):
+        for x, y in ((a.l_b, b.l_b), (a.u_b, b.u_b)):
             assert all(getattr(x, k).tobytes() == getattr(y, k).tobytes()
                        for k in ("data", "indices", "indptr"))
     with pytest.raises(ValueError, match="grad"):
@@ -509,7 +509,7 @@ def test_bcd_plan_block_over_two_concat_parts():
     m = A.shape[0]
     m2 = Gram(0.4, A)
     plan = BcdPlan(A, m2)
-    split = int(plan.segments[0][3][2])        # the third row of block 0
+    split = int(plan.segments[0].idx[2])       # the third row of block 0
     parts = [L1(split, lam=0.8), Quadratic(m - split, weight=1.5,
                                            center=rng.standard_normal(m - split))]
     z_ref, q = np.clip(rng.standard_normal(m), -0.8, 0.8), rng.standard_normal(m)
@@ -554,12 +554,11 @@ def _old_gram_blocks(plan, seg, part):
     row slices of one product of its rows in plan order with their
     transpose, scaled by tau/h, self-coupling and dead columns removed, each
     row in the product's order."""
-    _, lo, hi, idx, _, blocks = seg
-    rows = plan.op.mat[lo:hi]
+    rows = plan.op.mat[seg.lo:seg.hi]
     gram = rows @ rows.T.tocsr()
     h = part.tau * (rows.power(2) @ np.ones(rows.shape[1])) + part.ridge
-    n_live = idx.size
-    for sl, *_ in blocks:
+    n_live = seg.idx.size
+    for sl in (blk.sl for blk in seg.blocks):
         g_b = gram[sl].tocsr()
         g_b.data *= np.repeat(part.tau / h[sl], np.diff(g_b.indptr))
         cols = g_b.indices
@@ -580,17 +579,14 @@ def test_bcd_bound_block_products_are_scipys_bit_for_bit():
         resolved = validate_config(inst.problem, cfg)
         plan, m2 = resolved["plan"], resolved["m2"]
         n_blocks = 0
-        for i, (seg, products) in enumerate(zip(plan.segments, plan.products)):
-            if seg[0] == "diag":
-                assert products is None
+        for i, seg in enumerate(plan.segments):
+            if seg.kind == "diag":
                 continue
             part = m2 if isinstance(m2, Gram) else m2.parts[i]
-            idx, blocks = seg[3], seg[5]
-            assert len(products) == len(blocks)
-            old = list(_old_gram_blocks(plan, seg, part))
-            for (sl, l_b, u_b), (sl_bound, lower, upper), g_b in zip(
-                    blocks, products, old):
-                assert sl_bound == sl
+            idx = seg.idx
+            for blk, g_b in zip(seg.blocks, _old_gram_blocks(plan, seg, part)):
+                sl, l_b, u_b = blk.sl, blk.l_b, blk.u_b
+                lower, upper = blk.lower, blk.upper
                 assert np.all(l_b.indices < sl.start)
                 assert np.all(u_b.indices >= sl.stop)
                 assert (lower is None) == (l_b.nnz == 0)
@@ -858,6 +854,24 @@ def test_pdhg_rejects_fields_it_does_not_read(field, value):
         validate_config(prob, cfg)
     with pytest.raises(ConfigError, match=field):
         run(prob, cfg)
+    assert run(prob, dataclasses.replace(cfg, **{field: None})).outer_iters == 2
+
+
+@pytest.mark.parametrize("fields,match", [
+    ({"algorithm": "iprepdhg", "sigma": 5.0}, "iprepdhg takes no sigma"),
+    ({"algorithm": "prepdhg_exact", "sigma": 5.0}, "prepdhg_exact takes no sigma"),
+    ({"algorithm": "prepdhg_exact", "inner": "proxgrad"},
+     "prepdhg_exact takes no inner='proxgrad'")])
+def test_preconditioned_steps_reject_fields_they_do_not_read(fields, match):
+    # m2 sets their dual step, so a sigma would be ignored; prepdhg_exact
+    # with proxgrad would run the same FISTA exact solve as fista_restart
+    prob = _toy_problem(np.random.default_rng(43))
+    cfg = SolverConfig(tau=0.01, max_outer=2, **fields)
+    with pytest.raises(ConfigError, match=match):
+        validate_config(prob, cfg)
+    with pytest.raises(ConfigError, match=match):
+        run(prob, cfg)
+    field = "sigma" if "sigma" in fields else "inner"
     assert run(prob, dataclasses.replace(cfg, **{field: None})).outer_iters == 2
 
 
@@ -1420,8 +1434,8 @@ def test_forward_rhs_is_the_rhs_of_the_forward_product():
     for plan in _small_plans(rng):
         m, n = plan.op.shape
         dead = np.zeros(m, dtype=bool)
-        for sl in plan.dead:
-            dead[sl] = True
+        for seg in plan.segments:
+            dead[seg.dead] = True
         z_ref = rng.standard_normal(m)
         z_ref[dead] = -0.0
         t = rng.standard_normal(n)
@@ -1582,11 +1596,12 @@ def test_plan_order_is_a_permutation_of_a_s_rows(builder, rows, cols, seed):
     # the rows with ||a_i|| = 0
     d = np.asarray(A.to_sparse().power(2).sum(axis=1)).ravel()
     for seg in plan.segments:
-        if seg[0] == "gram":
-            _, lo, hi, idx, _, blocks = seg
-            assert np.array_equal(plan.order[lo:lo + idx.size], idx)
-            assert np.all(d[idx] > 0) and not np.any(d[plan.order[lo + idx.size:hi]])
-            assert blocks[-1][0].stop == idx.size
+        if seg.kind == "gram":
+            assert np.array_equal(plan.order[seg.rows], seg.idx)
+            assert np.all(d[seg.idx] > 0) and not np.any(d[plan.order[seg.dead]])
+            assert seg.rows == slice(seg.lo, seg.lo + seg.idx.size)
+            assert seg.dead == slice(seg.rows.stop, seg.hi)
+            assert seg.blocks[-1].sl.stop == seg.idx.size
     # op is A with its rows in plan order; its adjoint holds to rounding
     op = plan.op
     for _ in range(3):
