@@ -2,8 +2,7 @@
 
 from .operators import (DimensionMismatchError, Div2D, Grad2D, InvalidWeightsError,
                         LinearOperator, OrderingError, SparseOp, StackedOp,
-                        WeightedGrad2D, block_gram, div2d, grad2d,
-                        op_norm_sq_estimate)
+                        WeightedGrad2D, block_gram, op_norm_sq_estimate)
 from .prox import (BoxIndicator, Concat, GroupL12, L1, LinearPlusBox,
                    PointIndicator, ProxFunction, Quadratic,
                    UnsupportedKindError, UnsupportedMetricError, Zero,
@@ -11,8 +10,8 @@ from .prox import (BoxIndicator, Concat, GroupL12, L1, LinearPlusBox,
 from .precond import (BlockDiag, BlockOrdering, Diagonal, Gram, Preconditioner,
                       ScaledIdentity, ct_block_precond, four_block_ordering,
                       gram_precond, metric_spectrum, ordering_for,
-                      pock_diagonal, scaled_identity, trivial_ordering,
-                      two_block_ordering, validate_schur)
+                      pock_diagonal, scaled_identity, two_block_ordering,
+                      validate_schur)
 from .solver import (BcdPlan, ConfigError, InfeasibleStepsizeError, IterateState,
                      RunResult, SaddleProblem, SingularMetricError, SolverConfig,
                      Trace, ZSubproblem, admm_dual_step, bcd_gamma_feasible,

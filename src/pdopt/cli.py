@@ -2,8 +2,8 @@
 
 Configuration is flat key=value, either in a file (one pair per line, `#`
 comments) or as command-line tokens; command-line tokens override the file.
-Exit statuses: 0 success, 2 not converged, 3 validation failure, 4 I/O error,
-5 diverged (``solve`` stopped at a non-finite iterate).
+Exit statuses: 0 success, 2 not converged, 3 validation failure or usage
+error, 4 I/O error, 5 diverged (``solve`` stopped at a non-finite iterate).
 """
 
 import argparse
@@ -32,10 +32,9 @@ class CliError(Exception):
 
 
 _FLOAT_KEYS = {"lam", "alpha", "beta", "tau", "sigma", "gamma", "h", "noise",
-               "tol_delta", "tol_residual", "max_seconds", "phi_star",
-               "budget_seconds", "tol"}
+               "tol_delta", "tol_residual", "max_seconds", "phi_star", "tol"}
 _INT_KEYS = {"p", "max_outer", "seed", "log_every", "angles", "detectors",
-             "rows", "cols", "jobs"}
+             "jobs"}
 _LIST_KEYS = {"taus": float, "ps": int, "seeds": int}      # comma-separated
 _STR_KEYS = {"problem", "input", "input2", "matrix", "data", "output",
              "prefix", "algorithm", "inner", "variant", "suite", "methods",
@@ -232,8 +231,19 @@ def cmd_solve(args):
 # ---------------------------------------------------------------------------
 # compare
 
-_METHODS = ("pdhg", "dp_pdhg", "prepdhg", "iprepdhg_bcd", "iprepdhg_fista",
-            "iprepdhg_proxgrad")
+_INNER = {"iprepdhg_bcd": "bcd", "iprepdhg_fista": "fista_restart",
+          "iprepdhg_proxgrad": "proxgrad"}
+_METHODS = ("pdhg", "dp_pdhg", "prepdhg", *_INNER)
+
+
+def _method_grid(method, taus, ps):
+    """The ``(tau, p)`` of each row ``method`` runs: one row per value of
+    the parameters it reads, None for one it does not read."""
+    if method == "dp_pdhg":         # pock_diagonal's metrics take no tau
+        return [(None, None)]
+    if method in _INNER:
+        return list(itertools.product(taus, ps))
+    return [(tau, None) for tau in taus]
 
 
 def _method_config(instance, method, tau, p, cfg):
@@ -243,21 +253,28 @@ def _method_config(instance, method, tau, p, cfg):
     if method == "dp_pdhg":
         m1, m2 = precond.pock_diagonal(instance.problem.A)
         return instance.config(algorithm="prepdhg_exact", inner=None, p=1,
-                               tau=tau, m1=m1, m2=m2, **common)
+                               m1=m1, m2=m2, **common)
     if method == "prepdhg":
-        return instance.config(algorithm="prepdhg_exact", inner=None, p=1,
-                               tau=tau, **common)
-    if method.startswith("iprepdhg_"):
-        inner = {"bcd": "bcd", "fista": "fista_restart",
-                 "proxgrad": "proxgrad"}[method.split("_", 1)[1]]
-        return instance.config(algorithm="iprepdhg", inner=inner, p=p, tau=tau,
-                               **common)
-    raise CliError(f"unknown method {method!r}; known: {', '.join(_METHODS)}")
+        kw = {"algorithm": "prepdhg_exact", "inner": None, "p": 1}
+    elif method in _INNER:
+        kw = {"algorithm": "iprepdhg", "inner": _INNER[method], "p": p}
+    else:
+        raise CliError(f"unknown method {method!r}; known: {', '.join(_METHODS)}")
+    if instance.name == "ct":
+        # the recommended block preconditioner, built at this row's tau
+        A = instance.problem.A
+        rows, cols = instance.shape
+        kw["m1"], kw["m2"] = precond.ct_block_precond(
+            A.ops[0], rows, cols, tau, variant=cfg.get("variant", "norm"),
+            grad=A.ops[1])
+    return instance.config(tau=tau, **kw, **common)
 
 
 def _param_string(method, tau, p):
-    s = f"algorithm={method} tau={tau}"
-    if method.startswith("iprepdhg_"):
+    s = f"algorithm={method}"
+    if tau is not None:
+        s += f" tau={tau}"
+    if p is not None:
         s += f" p={p}"
     return s
 
@@ -273,10 +290,8 @@ def cmd_compare(args):
     outdir = _output_dir(cfg, args)
     prefix = cfg.get("prefix", instance.name)
 
-    jobs = []
-    for method in methods:
-        for tau, p in itertools.product(taus, ps):
-            jobs.append((method, tau, p))
+    jobs = [(method, tau, p) for method in methods
+            for tau, p in _method_grid(method, taus, ps)]
 
     def run_one(job):
         method, tau, p = job
@@ -293,8 +308,7 @@ def cmd_compare(args):
                     "final_delta": "", "error": str(exc)}
 
     # precedence: the --jobs flag, then the config file, then 1
-    n_jobs = getattr(args, "jobs", None)
-    n_jobs = max(1, n_jobs if n_jobs is not None else cfg.get("jobs", 1))
+    n_jobs = max(1, args.jobs if args.jobs is not None else cfg.get("jobs", 1))
     path = os.path.join(outdir, f"{prefix}_compare.csv")
     try:
         # opened before any job runs, so a bad path fails fast; run_one
@@ -537,22 +551,31 @@ def cmd_oracle(args):
     return EXIT_OK if ref.certified else EXIT_NOT_CONVERGED
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are CliErrors (exit 3), where
+    argparse would exit 2, the not-converged status."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="pdopt")
+    handlers = {"solve": cmd_solve, "compare": cmd_compare,
+                "validate": cmd_validate, "oracle": cmd_oracle}
+    parser = _Parser(prog="pdopt")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "compare", "validate", "oracle"):
+    for name in handlers:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         p.add_argument("--output", default=None)
-        p.add_argument("--jobs", type=int, default=None)
+        if name == "compare":
+            p.add_argument("--jobs", type=int, default=None)
         if name == "validate":
             p.add_argument("--suite", default="all")
         p.add_argument("overrides", nargs="*")
-    args = parser.parse_args(argv)
-    handler = {"solve": cmd_solve, "compare": cmd_compare,
-               "validate": cmd_validate, "oracle": cmd_oracle}[args.command]
     try:
-        return handler(args)
+        args = parser.parse_args(argv)
+        return handlers[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -126,39 +126,6 @@ def bind_csr_matvec(mat):
     return product
 
 
-def grad2d(u, h=1.0):
-    """Forward-difference gradient of a 2D array.
-
-    Returns (ch1, ch2) where ch1[i, j] = (u[i+1, j] - u[i, j]) / h with a
-    zero last row, and ch2 analogously in j with a zero last column.
-    Raises ValueError unless ``u`` is a non-empty 2-D array.
-    """
-    if not h > 0:         # NaN fails this too
-        raise ValueError("h must be positive")
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2 or u.size == 0:
-        raise ValueError(f"grad2d needs a non-empty 2-D array, got shape {u.shape}")
-    ch1, ch2 = _grad_into(u, np.empty((2,) + u.shape), h)
-    return ch1, ch2
-
-
-def div2d(ch1, ch2, h=1.0):
-    """Divergence of a two-channel field, the exact negative adjoint of grad2d.
-
-    Raises DimensionMismatchError unless both channels are non-empty 2-D
-    arrays of the same shape.
-    """
-    if not h > 0:         # NaN fails this too
-        raise ValueError("h must be positive")
-    ch1 = np.asarray(ch1, dtype=float)
-    ch2 = np.asarray(ch2, dtype=float)
-    if ch1.ndim != 2 or ch1.size == 0 or ch2.shape != ch1.shape:
-        raise DimensionMismatchError(
-            "div2d needs two non-empty 2-D channels of the same shape, "
-            f"got {ch1.shape} and {ch2.shape}")
-    return _div_into(ch1, ch2, np.empty(ch1.shape), h)
-
-
 class LinearOperator:
     """Base class: forward ``matvec`` on R^n -> R^m and adjoint ``rmatvec``.
 

@@ -150,11 +150,6 @@ def four_block_ordering(rows, cols):
     return BlockOrdering("four_block", blocks)
 
 
-def trivial_ordering(dim):
-    """Single all-coordinates block, valid only under a diagonal metric."""
-    return BlockOrdering("trivial", [np.arange(dim)])
-
-
 def ordering_for(A):
     """The claim-mandated color ordering for a grid operator."""
     if isinstance(A, Div2D):

@@ -87,15 +87,16 @@ class SaddleProblem:
 class SolverConfig:
     """Settings of one run, which ``validate_config`` turns into its ``step``.
 
-    Monitoring follows the log cadence and the stop rules: ``phi`` and the
-    problem's feasibility are evaluated on logged iterations (every
-    ``log_every``-th and the last); ``phi`` on every iteration only when
-    ``tol_delta`` and ``phi_star`` are set, and on the final one when
-    ``phi_star`` is set.  Under that gap stop the per-iteration ``phi`` takes
-    its ``A x_k`` from the step's own forward product where the step forms it
-    in A's row order (see ``run``); logged rows, the final iterate and a
-    stop decision use the exact ``phi``.  ``RunResult.monitor_s`` reports
-    their cost, which ``time_s`` excludes.
+    Monitoring follows the log cadence and the stop rules: ``phi``, the
+    problem's feasibility and the opt-in err-ratio and Lyapunov monitors
+    are evaluated on logged iterations (every ``log_every``-th and the
+    last); ``phi`` on every iteration only when ``tol_delta`` and
+    ``phi_star`` are set, and on the final one when ``phi_star`` is set.
+    Under that gap stop the per-iteration ``phi`` takes its ``A x_k`` from
+    the step's own forward product where the step forms it in A's row order
+    (see ``run``); logged rows, the final iterate and a stop decision use
+    the exact ``phi``.  ``RunResult.monitor_s`` reports their cost, which
+    ``time_s`` excludes.
     """
 
     algorithm: str = "iprepdhg"      # pdhg | prepdhg_exact | iprepdhg
@@ -179,7 +180,8 @@ class RunResult:
     outer_iters: int
     time_s: float                  # algorithmic seconds; excludes monitoring
     final_delta: float = None
-    monitor_s: float = 0.0         # wall seconds of phi, feasibility, stop rules
+    monitor_s: float = 0.0         # wall seconds of phi, feasibility, the
+                                   # err-ratio and Lyapunov monitors, stop rules
 
 
 # ---------------------------------------------------------------------------
@@ -1127,23 +1129,6 @@ def run(problem, config, resolved=None):
         state.sum_x += x_new
         state.sum_z += z_new
         state.k = k
-
-        err_ratio = None
-        if cfg.monitor_err_ratio and sub is not None:
-            if plan is not None:        # the monitor reads A's row order
-                t = 2.0 * x_new
-                t -= x_prev
-                sub = ZSubproblem(in_rows(z_prev), problem.A.matvec(t),
-                                  resolved["m2"], problem.g)
-            try:
-                _, err_ratio = relative_error_residual(sub.z_ref, in_rows(z_new), sub)
-            except _prox.UnsupportedKindError:
-                err_ratio = None
-        lyap = None
-        if cfg.monitor_lyapunov and m1 is not None:
-            z_prev_rows = in_rows(z_prev)
-            y, u = dual_transform(x_new, x_prev, z_prev_rows, m1, problem.A)
-            lyap = lyapunov(z_prev_rows, y, u, m1, problem)
         elapsed += time.perf_counter() - tic
 
         # monitoring: each quantity only when a log row or a stop rule reads it
@@ -1181,6 +1166,23 @@ def run(problem, config, resolved=None):
             final_delta = delta
         if logged:
             feas = problem.feasibility(x_new) if problem.feasibility else None
+            err_ratio = None
+            if cfg.monitor_err_ratio and sub is not None:
+                if plan is not None:        # the monitor reads A's row order
+                    t = 2.0 * x_new
+                    t -= x_prev
+                    sub = ZSubproblem(in_rows(z_prev), problem.A.matvec(t),
+                                      resolved["m2"], problem.g)
+                try:
+                    _, err_ratio = relative_error_residual(sub.z_ref,
+                                                           in_rows(z_new), sub)
+                except _prox.UnsupportedKindError:
+                    pass
+            lyap = None
+            if cfg.monitor_lyapunov and m1 is not None:
+                z_prev_rows = in_rows(z_prev)
+                y, u = dual_transform(x_new, x_prev, z_prev_rows, m1, problem.A)
+                lyap = lyapunov(z_prev_rows, y, u, m1, problem)
             trace.add(k=k, obj=obj, delta=delta, feas=feas, dz_norm=dz_norm,
                       err_ratio=err_ratio, lyapunov=lyap, time_s=elapsed)
         diverged = ((dz_norm is not None and not math.isfinite(dz_norm))

@@ -1,12 +1,14 @@
+import ast
 import csv
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdopt import gridio
+from pdopt import cli, gridio
 from pdopt.cli import (_FLOAT_KEYS, _INT_KEYS, CliError, build_problem,
                        build_solver_config, main, parse_config,
                        read_config_file)
@@ -78,6 +80,51 @@ def test_type_errors_are_line_precise(tmp_path):
 def test_bad_override_token():
     with pytest.raises(CliError):
         parse_config(_Args(overrides=["no-equals-sign"]))
+
+
+@pytest.mark.parametrize("key", ["rows=8", "cols=8", "budget_seconds=1"])
+def test_keys_no_command_reads_are_unknown(noisy_pgm, tmp_path, capsys, key):
+    code = main(["solve", "--output", str(tmp_path), "problem=tvl1",
+                 f"input={noisy_pgm}", "max_outer=5", key])
+    assert code == 3
+    assert "unknown key" in capsys.readouterr().err
+
+
+def test_every_known_key_is_read():
+    # a key is read when its name appears as a string constant in cli.py
+    # outside the four tables that declare the keys
+    tables = {"_FLOAT_KEYS", "_INT_KEYS", "_LIST_KEYS", "_STR_KEYS"}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    read = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in tables for t in stmt.targets):
+            continue
+        read |= {node.value for node in ast.walk(stmt)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert sorted(cli._KNOWN_KEYS - read) == []
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["solve", "--jobs", "2"], "--jobs"),    # only compare runs jobs
+    (["solve", "--bogus"], "--bogus"),
+    (["frobnicate"], "frobnicate"),
+], ids=["jobs-outside-compare", "unknown-flag", "unknown-command"])
+def test_usage_errors_are_validation_errors(noisy_pgm, tmp_path, capsys, argv,
+                                            flag):
+    # argparse's own exit status, 2, means not converged
+    tail = ["--output", str(tmp_path), "problem=tvl1", f"input={noisy_pgm}",
+            "max_outer=5"]
+    assert main(argv + tail) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and flag in err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--help"])
+    assert exc.value.code == 0
+    assert "--jobs" in capsys.readouterr().out
 
 
 _FINITE = st.floats(allow_nan=False)
@@ -296,8 +343,15 @@ def test_compare_grid_and_best_marking(noisy_pgm, tmp_path, capsys):
     lines = open(os.path.join(out, "c_compare.csv")).read().strip().split("\n")
     assert lines[0] == ("method,params,status,outer_iters,time_s,"
                         "final_delta,best,error")
-    assert len(lines) == 1 + 2 * 4          # full tau x p grid per method
     rows = [l.split(",") for l in lines[1:]]
+    # pdhg reads tau only: one row per tau; iprepdhg one per (tau, p)
+    assert [(r[0], r[1]) for r in rows] == [
+        ("pdhg", "algorithm=pdhg tau=0.1"),
+        ("pdhg", "algorithm=pdhg tau=0.01"),
+        ("iprepdhg_bcd", "algorithm=iprepdhg_bcd tau=0.1 p=1"),
+        ("iprepdhg_bcd", "algorithm=iprepdhg_bcd tau=0.1 p=2"),
+        ("iprepdhg_bcd", "algorithm=iprepdhg_bcd tau=0.01 p=1"),
+        ("iprepdhg_bcd", "algorithm=iprepdhg_bcd tau=0.01 p=2")]
     for method in ("pdhg", "iprepdhg_bcd"):
         marked = [r for r in rows if r[0] == method and r[6] == "1"]
         assert len(marked) == 1
@@ -355,9 +409,9 @@ def test_compare_diagonal_and_exact_preconditioned_rows(noisy_pgm, tmp_path,
     capsys.readouterr()
     lines = (tmp_path / "e_compare.csv").read_text().strip().split("\n")
     rows = [l.split(",") for l in lines[1:]]
+    # pock_diagonal's metrics take no tau: one dp_pdhg row
     assert [(r[0], r[1]) for r in rows] == [
-        ("dp_pdhg", "algorithm=dp_pdhg tau=0.1"),
-        ("dp_pdhg", "algorithm=dp_pdhg tau=0.01"),
+        ("dp_pdhg", "algorithm=dp_pdhg"),
         ("prepdhg", "algorithm=prepdhg tau=0.1"),
         ("prepdhg", "algorithm=prepdhg tau=0.01")]
     assert all(r[2] == "converged" and r[7] == "" for r in rows)
@@ -382,6 +436,25 @@ def test_compare_ct_rows_use_the_recommended_block_preconditioner(tmp_path,
         rows = list(csv.DictReader(fh))
     assert [r["method"] for r in rows] == ["pdhg", "iprepdhg_bcd"]
     assert all(r["status"] == "converged" and r["error"] == "" for r in rows)
+
+
+def test_compare_ct_rows_build_the_block_preconditioner_at_their_tau(tmp_path,
+                                                                    capsys):
+    phantom = np.zeros((8, 8))
+    phantom[2:6, 2:6] = 1.0
+    gridio.save_grid_csv(str(tmp_path / "ph.csv"), phantom)
+    code = main(["compare", "--output", str(tmp_path), "problem=ct",
+                 f"input={tmp_path / 'ph.csv'}", "angles=6", "detectors=8",
+                 "methods=pdhg,iprepdhg_bcd", "taus=1.0,0.1",
+                 "tol_residual=1e-7", "max_outer=20000", "prefix=cttau"])
+    assert code == 0
+    capsys.readouterr()
+    with open(tmp_path / "cttau_compare.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["method"] == "iprepdhg_bcd"]
+    assert [r["params"] for r in rows] == [
+        "algorithm=iprepdhg_bcd tau=1.0 p=1", "algorithm=iprepdhg_bcd tau=0.1 p=1"]
+    assert all(r["status"] == "converged" for r in rows)
+    assert rows[0]["outer_iters"] != rows[1]["outer_iters"]
 
 
 @pytest.mark.parametrize("bad", ["taus=abc", "ps=1.5", "taus=0.1,,0.2"])

@@ -7,8 +7,7 @@ from pdopt.precond import (BlockDiag, BlockOrdering, Diagonal, Gram,
                            ScaledIdentity, ct_block_precond,
                            four_block_ordering, gram_precond, metric_spectrum,
                            ordering_for, pock_diagonal, scaled_identity,
-                           trivial_ordering, two_block_ordering,
-                           validate_schur)
+                           two_block_ordering, validate_schur)
 
 
 def test_scaled_identity_basics():
@@ -129,7 +128,7 @@ def test_orderings_are_the_parity_definitions(rows, cols):
 
 
 def test_trivial_ordering():
-    o = trivial_ordering(5)
+    o = BlockOrdering("trivial", [np.arange(5)])
     assert o.num_blocks == 1 and o.blocks[0].size == 5
 
 

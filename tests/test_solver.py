@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -614,10 +615,10 @@ def test_bcd_bound_block_products_are_scipys_bit_for_bit():
 
 def test_bcd_plan_rejects_coupled_block():
     from pdopt.operators import OrderingError
-    from pdopt.precond import trivial_ordering
+    from pdopt.precond import BlockOrdering
     A = Grad2D(4, 4)
     with pytest.raises(OrderingError):
-        BcdPlan(A, Gram(0.5, A), trivial_ordering(A.shape[0]))
+        BcdPlan(A, Gram(0.5, A), BlockOrdering("trivial", [np.arange(A.shape[0])]))
 
 
 def test_inner_bcd_zero_drift_fixed_point():
@@ -1189,6 +1190,23 @@ def test_run_delta_stop_evaluates_phi_every_iteration():
     assert prob.objective.calls == 200
     assert prob.feasibility.calls == 1          # the final, logged iteration
     assert math.isfinite(res.monitor_s) and res.monitor_s > 0
+
+
+def test_run_times_the_opt_in_monitors_as_monitoring(monkeypatch):
+    calls = []
+
+    def slow_lyapunov(*args):
+        calls.append(args)
+        time.sleep(0.01)
+        return 0.0
+
+    monkeypatch.setattr(pdopt.solver, "lyapunov", slow_lyapunov)
+    prob = _toy_problem(np.random.default_rng(31))
+    cfg = SolverConfig(algorithm="iprepdhg", inner="bcd", tau=0.01,
+                       max_outer=10, log_every=5, monitor_lyapunov=True)
+    res = run(prob, cfg)
+    assert len(calls) == 2                  # the logged iterations, 5 and 10
+    assert res.time_s < 0.02 <= res.monitor_s
 
 
 def test_run_sparse_log_rows_match_dense_log():
