@@ -41,6 +41,22 @@ _STR_KEYS = {"problem", "input", "input2", "matrix", "data", "output",
              "time_stamps", "mu_f", "mu_b"}
 _KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | set(_LIST_KEYS)
 
+# the keys each command reads; any other is an unknown key (exit 3).  The
+# problem's keys come with the two that place its artifacts
+_PROBLEM_KEYS = {"problem", "input", "input2", "matrix", "data", "noise",
+                 "seed", "lam", "alpha", "beta", "mu_f", "mu_b", "h",
+                 "angles", "detectors", "variant", "tau", "output", "prefix"}
+_STOP_KEYS = ("phi_star", "tol_delta", "tol_residual", "max_outer",
+              "max_seconds", "log_every")
+_COMMAND_KEYS = {
+    "solve": _PROBLEM_KEYS | set(_STOP_KEYS) | {"algorithm", "sigma", "inner",
+                                                "gamma", "p", "time_stamps"},
+    "compare": _PROBLEM_KEYS | set(_STOP_KEYS) | {"methods", "taus", "ps", "p",
+                                                  "jobs"},
+    "validate": {"suite", "seeds"},
+    "oracle": _PROBLEM_KEYS | {"tol"},
+}
+
 
 def _convert(key, raw, where):
     try:
@@ -57,7 +73,9 @@ def _convert(key, raw, where):
         raise CliError(f"{where}: key '{key}' expects a {kind}, got {raw!r}")
 
 
-def read_config_file(path):
+def read_config_file(path, known=_KNOWN_KEYS):
+    """The key=value pairs of the file ``path``; a key outside ``known`` is
+    an unknown key."""
     pairs = {}
     try:
         with open(path) as fh:
@@ -71,22 +89,24 @@ def read_config_file(path):
         if "=" not in stripped:
             raise CliError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, raw = (t.strip() for t in stripped.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in known:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
         pairs[key] = _convert(key, raw, f"{path}:{lineno}")
     return pairs
 
 
 def parse_config(args):
-    """Merge config file pairs with command-line overrides."""
+    """Merge config file pairs with command-line overrides.  Each command
+    (``args.command``) accepts only the keys it reads."""
+    known = _COMMAND_KEYS.get(getattr(args, "command", None), _KNOWN_KEYS)
     cfg = {}
     if args.config:
-        cfg.update(read_config_file(args.config))
+        cfg.update(read_config_file(args.config, known))
     for token in args.overrides:
         if "=" not in token:
             raise CliError(f"command line: expected key=value, got {token!r}")
         key, raw = (t.strip() for t in token.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in known:
             raise CliError(f"command line: unknown key {key!r}")
         cfg[key] = _convert(key, raw, "command line")
     return cfg
@@ -167,9 +187,7 @@ def _build_problem(name, cfg):
 
 def _stop_rules(cfg):
     """The stop-rule and logging keys of ``cfg``; tol_residual=1e-8 by default."""
-    keys = ("phi_star", "tol_delta", "tol_residual", "max_outer",
-            "max_seconds", "log_every")
-    rules = {k: cfg[k] for k in keys if k in cfg}
+    rules = {k: cfg[k] for k in _STOP_KEYS if k in cfg}
     if "tol_delta" not in rules and "tol_residual" not in rules:
         rules["tol_residual"] = 1e-8
     return rules
@@ -238,9 +256,12 @@ _METHODS = ("pdhg", "dp_pdhg", "prepdhg", *_INNER)
 
 def _method_grid(method, taus, ps):
     """The ``(tau, p)`` of each row ``method`` runs: one row per value of
-    the parameters it reads, None for one it does not read."""
+    the parameters it reads, None for one it does not read.  An unknown
+    method gets one row, at the first tau, which records its error."""
     if method == "dp_pdhg":         # pock_diagonal's metrics take no tau
         return [(None, None)]
+    if method not in _METHODS:
+        return [(taus[0], None)]
     if method in _INNER:
         return list(itertools.product(taus, ps))
     return [(tau, None) for tau in taus]

@@ -26,7 +26,7 @@ from .precond import (BlockDiag, Diagonal, Gram, Preconditioner,
                       scaled_identity)
 
 
-EXACT_TOL = 1e-12      # step-norm tolerance of prepdhg_exact's z-subproblem solve
+EXACT_TOL = 1e-12      # relative tolerance of prepdhg_exact's z-subproblem solve
 GAP_BAND = 1e-12       # a gap from a carried A x_k this close to tol_delta is checked exactly
 GRAM_PRODUCT_NNZ = 1 << 14  # entries of A over which BcdPlan forms blocks in one Gram product
 BCD_GAMMA_GRID = 64    # log-grid points find_bcd_gamma searches
@@ -246,8 +246,18 @@ def _conj_prox_at(g, gamma):
         raise ConfigError(f"the z-step metric does not suit g: {exc}") from None
 
 
-def _small_step(z_new, z, tol):
-    return np.linalg.norm(z_new - z) <= tol * (1.0 + np.linalg.norm(z_new))
+def _error_below(step, prev, bound):
+    """Whether a sequence converging linearly at the rate ``r = step / prev``,
+    the ratio of its last two step norms, is within ``bound`` of its limit
+    by the estimate ``step r / (1 - r)``: always after a zero step, never
+    while the steps do not shrink (nor after the first, with ``prev``
+    None)."""
+    if step == 0.0:
+        return True
+    if prev is None or not step < prev:
+        return False
+    r = step / prev
+    return step * r / (1.0 - r) <= bound
 
 
 def _fista_restart(z, grad, obj, conj_prox, gamma, iters, tol=None):
@@ -269,7 +279,8 @@ def _fista_restart(z, grad, obj, conj_prox, gamma, iters, tol=None):
             y = z_new + ((t - 1.0) / t_new) * (z_new - z)
             t = t_new
         f_prev = f_new
-        if tol is not None and _small_step(z_new, z, tol):
+        if tol is not None and (np.linalg.norm(z_new - z)
+                                <= tol * (1.0 + np.linalg.norm(z_new))):
             return z_new
         z = z_new
     return z
@@ -284,6 +295,14 @@ def _row_slice(mat, start, stop):
     return sp.csr_matrix((mat.data[a:b], mat.indices[a:b],
                           mat.indptr[start:stop + 1] - a),
                          shape=(stop - start, mat.shape[1]))
+
+
+def _canonical_csr(A):
+    """The operator ``A`` as a canonical (sorted, duplicates summed) CSR
+    matrix."""
+    mat = A.to_sparse().tocsr()
+    mat.sum_duplicates()
+    return mat
 
 
 def _row_norms_sq(mat):
@@ -327,12 +346,12 @@ def _gram_block(gram, rows, start, n_live, scale, n_diag):
                       shape))
 
 
-def _steps(inv_step, step):
-    """``(inv_step, step)`` of a segment's solved rows, each a float when
-    the step is the same on every row."""
+def _step(step):
+    """The step of a segment's solved rows, a float when it is the same on
+    every row."""
     if step.size and step.min() == step.max():
-        return float(inv_step[0]), float(step[0])
-    return inv_step, step
+        return float(step[0])
+    return step
 
 
 class DiagSegment(NamedTuple):
@@ -344,8 +363,7 @@ class DiagSegment(NamedTuple):
     hi: int
     e: np.ndarray
     rows: slice         # the rows the sweep solves: all of lo:hi
-    inv_step: object    # e, a float when it is the same on every row
-    step: object        # 1/e, likewise
+    step: object        # 1/e, a float when it is the same on every row
     dead: slice         # none: an empty range
 
 
@@ -374,8 +392,7 @@ class GramSegment(NamedTuple):
     idx: np.ndarray     # the rows of A at the live positions
     inv_h: np.ndarray   # 1/h over the live rows
     rows: slice         # the live rows, lo:lo + idx.size
-    inv_step: object    # 1/inv_h, a float when it is the same on every live row
-    step: object        # inv_h, likewise
+    step: object        # inv_h, a float when it is the same on every live row
     dead: slice         # the dead rows, lo + idx.size:hi
     blocks: list        # one GramBlock per colour block with live rows
 
@@ -391,15 +408,26 @@ class BcdPlan:
     ``SparseOp`` of A's rows in plan order, so ``op.matvec(x)`` is
     ``permute(A.matvec(x))`` and ``op.rmatvec(permute(z))`` is
     ``A.rmatvec(z)``, both up to rounding: a run that sweeps the plan keeps
-    its dual iterate in plan order and pairs it with ``op``.
+    its dual iterate in plan order and pairs it with A's rows in that order.
 
     A sweep's right-hand side is ``c = z_ref + S q``, with ``q = A t`` in
     plan order and ``S`` the segments' steps over their solved rows;
     ``rhs`` or ``forward_rhs`` forms it, and the sweep writes the new z
     over it.  ``bind(g)`` gives the sweep its kernels of ``g``.
+
+    The plan keeps A's rows in plan order in two CSR arrays of its own,
+    with the diagonal scalings of a plan step folded into their entries, so
+    each of the step's two products outside the sweep is one bound CSR
+    product: ``forward_rhs``'s ``S A`` (the dead rows store no entries),
+    and ``backward``, ``(z, out) -> out + T z``.  ``T`` is ``-M1^-1 A^T``
+    for a plan built with ``m1`` (a diagonal metric), so
+    ``backward(z, x.copy())`` is the x-step's ``x - M1^-1 A^T z``, and
+    ``A^T`` as it is without.  ``op`` is not kept: it is formed from ``A``
+    and ``order`` on each access, the same bits as the plan's rows before
+    the scaling.
     """
 
-    def __init__(self, A, m2, ordering=None):
+    def __init__(self, A, m2, ordering=None, m1=None):
         self.g = self.kernels = None
         if isinstance(m2, (Diagonal, ScaledIdentity, Gram)):
             parts = [(0, m2.dim, m2, A)]
@@ -412,25 +440,23 @@ class BcdPlan:
             raise ConfigError(
                 "BCD needs M2 in Gram form or a block-diagonal composite over "
                 "a stacked operator")
-        mat = A.to_sparse().tocsr()
-        mat.sum_duplicates()    # op's rows and the row norms read it canonical
+        mat = _canonical_csr(A)     # the row norms read it canonical
         layouts, orders = [], []
         for lo, hi, part, rows_op in parts:
             lo, hi = int(lo), int(hi)
             if isinstance(part, (Diagonal, ScaledIdentity)):
                 e = part.diagonal()
                 layouts.append(DiagSegment("diag", lo, hi, e, slice(lo, hi),
-                                           *_steps(e, 1.0 / e), slice(hi, hi)))
+                                           _step(1.0 / e), slice(hi, hi)))
                 orders.append(np.arange(lo, hi))
             elif isinstance(part, Gram):
                 blocks = (ordering if ordering is not None and part is m2
                           else ordering_for(part.A)).blocks
                 # the rows of a Gram operator other than A's over lo:hi, else
-                # None: the segment then takes op's rows
+                # None: the segment then takes A's rows
                 own = None
                 if part.A is not rows_op:
-                    own = part.A.to_sparse().tocsr()
-                    own.sum_duplicates()
+                    own = _canonical_csr(part.A)
                 order, layout = self._gram_layout(
                     _row_norms_sq(_row_slice(mat, lo, hi) if own is None else own),
                     part.tau, part.ridge, blocks)
@@ -440,13 +466,44 @@ class BcdPlan:
             else:
                 raise ConfigError(
                     f"unsupported M2 block {type(part).__name__} for BCD")
-        self.order = np.concatenate(orders)
+        self.A, self.order = A, np.concatenate(orders)
         del orders
-        self.op = SparseOp.adopt(mat[self.order].astype(float, copy=False))
+        rows = mat[self.order].astype(float, copy=False)
         del mat
+        rows_t = rows.T.tocsr()
         self.segments = [seg if isinstance(seg, DiagSegment) else
-                         self._gram_segment(*seg) for seg in layouts]
-        self._forward = bind_csr_matvec(self.op.mat)
+                         self._gram_segment(rows, rows_t, *seg) for seg in layouts]
+        self._forward = bind_csr_matvec(self._fold_steps(rows))
+        del rows
+        if m1 is not None:
+            d = m1.diagonal()
+            rows_t.data /= (-float(d[0]) if d.size and d.min() == d.max()
+                            else -np.repeat(d, np.diff(rows_t.indptr)))
+        self.backward = bind_csr_matvec(rows_t)
+
+    @property
+    def op(self):
+        """A ``SparseOp`` of A's rows in plan order, formed on each access."""
+        return SparseOp.adopt(_canonical_csr(self.A)[self.order].astype(float, copy=False))
+
+    def _fold_steps(self, rows):
+        """``S A`` from ``rows``, A's rows in plan order: each segment's
+        solved rows scaled in place by their steps, and the dead rows'
+        entries (zeros of A, or rows a Gram operator other than A leaves
+        dead) dropped, in a copy only when some dead row stores any."""
+        indptr = rows.indptr
+        if any(indptr[seg.dead.stop] > indptr[seg.dead.start] for seg in self.segments):
+            kept = np.ones(rows.nnz, dtype=bool)
+            for seg in self.segments:
+                kept[indptr[seg.dead.start]:indptr[seg.dead.stop]] = False
+            rows = _csr_part(rows.data, rows.indices, indptr, kept, rows.shape)
+            indptr = rows.indptr
+        for seg in self.segments:
+            start, stop = seg.rows.start, seg.rows.stop
+            entries = rows.data[indptr[start]:indptr[stop]]
+            entries *= (seg.step if isinstance(seg.step, float)
+                        else np.repeat(seg.step, np.diff(indptr[start:stop + 1])))
+        return rows
 
     @staticmethod
     def _gram_layout(d, tau, ridge, blocks):
@@ -464,11 +521,12 @@ class BcdPlan:
         return order, (order.size, h[live], [rows.size for rows in live_blocks],
                        [np.count_nonzero(d[rows]) for rows in live_blocks])
 
-    def _gram_segment(self, lo, tau, rows, layout):
-        """The ``GramSegment`` at plan position ``lo``.
+    def _gram_segment(self, mat, mat_t, lo, tau, rows, layout):
+        """The ``GramSegment`` at plan position ``lo``, from ``mat``, A's
+        rows in plan order, and its transpose ``mat_t``.
 
         Each ``G_b`` is formed by its own product of the block's rows in
-        plan order with the transpose of the segment's ``rows`` (``op``'s
+        plan order with the transpose of the segment's ``rows`` (``mat``'s
         when None: the Gram operator is A or A's block over those rows), and
         its parts are gathered from it into arrays of their own; the product
         is dropped before the next one is formed, so the build holds about
@@ -481,10 +539,9 @@ class BcdPlan:
         inside a block raises OrderingError."""
         n_rows, h, sizes, diag = layout
         n_live = h.size
-        if rows is None:            # op's rows lo:lo + n_rows, and their transpose
-            rows, base = self.op.mat, lo
-            rows_t = self.op.mat_t
-            if n_rows < self.op.shape[0]:
+        if rows is None:            # mat's rows lo:lo + n_rows, and their transpose
+            rows, base, rows_t = mat, lo, mat_t
+            if n_rows < mat.shape[0]:
                 cols = rows_t.indices
                 rows_t = _csr_part(rows_t.data, cols, rows_t.indptr,
                                    (cols >= lo) & (cols < lo + n_rows),
@@ -515,7 +572,7 @@ class BcdPlan:
             first = last
         inv_h = 1.0 / h
         return GramSegment("gram", lo, lo + n_rows, self.order[lo:lo + n_live], inv_h,
-                           slice(lo, lo + n_live), *_steps(1.0 / inv_h, inv_h),
+                           slice(lo, lo + n_live), _step(inv_h),
                            slice(lo + n_live, lo + n_rows), blocks)
 
     def permute(self, v):
@@ -543,21 +600,14 @@ class BcdPlan:
         return c
 
     def forward_rhs(self, z_ref, t):
-        """``S (S^-1 z_ref + A t)`` in plan order from the primal vector
-        ``t``: a new array, ``rhs(z_ref, op.matvec(t))`` up to rounding.
+        """``z_ref + S A t`` in plan order from the primal vector ``t``: a
+        new array, ``rhs(z_ref, op.matvec(t))`` up to rounding.
 
-        The forward product accumulates into ``S^-1 z_ref`` (one bound CSR
-        product of ``op``'s matrix), and one in-place pass scales the rows
-        by their steps, so each row sums A's terms before it is scaled, as
-        ``q`` does, and no ``q`` is formed.  Dead rows take ``z_ref``'s bits."""
-        c = np.empty(z_ref.size)
-        for seg in self.segments:
-            np.multiply(z_ref[seg.rows], seg.inv_step, out=c[seg.rows])
-        self._forward(t, c)
-        for seg in self.segments:
-            c[seg.rows] *= seg.step
-            c[seg.dead] = z_ref[seg.dead]
-        return c
+        One bound CSR product of ``S A`` (A's rows in plan order, each
+        scaled by its step) accumulates into a copy of ``z_ref``, so no
+        ``q`` is formed.  The dead rows store no entries: they keep
+        ``z_ref``'s bits, whatever ``t`` holds."""
+        return self._forward(t, z_ref.copy())
 
     def bind(self, g):
         """The per-segment kernels of ``g``: one for a diagonal segment, a
@@ -604,10 +654,14 @@ def inner_bcd(sub, plan, p, rhs=None):
 def solve_subproblem_exact(sub, tol=EXACT_TOL, max_iter=200000, gamma=None,
                            plan=None, rhs=None):
     """Iterate an inner solver (BCD epochs under a ``plan``, else FISTA with
-    restart) until the step norm falls below tol: an "exact" solve for
-    equivalence oracles and the reference engine.  Under a plan, ``sub``
-    and the result are in A's row order, or with ``rhs`` in the plan's
-    (see ``inner_bcd``); ``rhs`` is then left as it is."""
+    restart) to ``tol``: an "exact" solve for equivalence oracles and the
+    reference engine.  FISTA stops at a step norm <= tol (1 + ||z||).  BCD
+    epochs converge linearly, at a rate near 1 on fine grids, where a small
+    step still leaves the iterate many steps from the solution, so they stop
+    once the estimated error ``step r / (1 - r)``, ``r`` the ratio of the
+    last two step norms, is <= tol (1 + ||z||) (``_error_below``).  Under a
+    plan, ``sub`` and the result are in A's row order, or with ``rhs`` in
+    the plan's (see ``inner_bcd``); ``rhs`` is then left as it is."""
     if plan is None:
         if gamma is None:
             gamma = 1.0 / max(m2_norm_estimate(sub.m2), 1e-30)
@@ -617,11 +671,12 @@ def solve_subproblem_exact(sub, tol=EXACT_TOL, max_iter=200000, gamma=None,
     if not plan_order:
         sub = plan.subproblem(sub)
         rhs = plan.rhs(sub.z_ref, sub.q)
-    z = sub.z_ref
+    z, prev = sub.z_ref, None
     for _ in range(max_iter):
         z_new = _bcd_sweep(sub, plan, rhs.copy(), 1, z)
-        done = _small_step(z_new, z, tol)
-        z = z_new
+        step = np.linalg.norm(z_new - z)
+        done = _error_below(step, prev, tol * (1.0 + np.linalg.norm(z_new)))
+        z, prev = z_new, step
         if done:
             break
     return z if plan_order else plan.unpermute(z)
@@ -826,18 +881,22 @@ def pdhg_step(x, z, problem, tau, sigma, f_prox=None, g_conj=None,
     return (x_new, z_new, q) if return_q else (x_new, z_new)
 
 
-def prepdhg_x_step(x, z, problem, m1, f_prox=None, A=None):
-    """Exact x-subproblem: a diagonal-metric prox of f.  ``f_prox`` is
-    ``f.prox_kernel(m1.diagonal())``, which ``validate_config`` binds once
-    per run; it is bound here if not given.  ``A`` is the operator z is
-    paired with: ``problem.A``, or a ``BcdPlan``'s ``op`` when z is in plan
-    order.  ``m1.apply_inverse`` divides by the diagonal (a scalar for a
-    scaled identity), the same quotients as dividing by ``m1.diagonal()``."""
+def prepdhg_x_step(x, z, problem, m1, f_prox=None, backward=None):
+    """Exact x-subproblem: the diagonal-metric prox of f at
+    ``x - M1^-1 A^T z``.  ``f_prox`` is ``f.prox_kernel(m1.diagonal())``,
+    which ``validate_config`` binds once per run; it is bound here if not
+    given.  ``backward`` is the map ``(z, out) -> out - M1^-1 A^T z`` bound
+    once, with z in the order it reads: the ``backward`` of a ``BcdPlan``
+    built with this ``m1``, whose z is in plan order.  The point is then one
+    CSR product accumulated into a copy of ``x``.  Without it,
+    ``m1.apply_inverse`` divides ``problem.A.rmatvec(z)`` by the diagonal (a
+    scalar for a scaled identity), the same quotients as dividing by
+    ``m1.diagonal()``, and the quotient is subtracted from ``x``."""
     if f_prox is None:
         f_prox = problem.f.prox_kernel(m1.diagonal())
-    if A is None:
-        A = problem.A
-    w = m1.apply_inverse(A.rmatvec(z))
+    if backward is not None:
+        return f_prox(backward(z, x.copy()))
+    w = m1.apply_inverse(problem.A.rmatvec(z))
     return f_prox(np.subtract(x, w, out=w))
 
 
@@ -909,9 +968,11 @@ def validate_config(problem, config):
     ``m1``, ``m2``, ``plan`` and ``gamma``, None where the z-solver does
     not read them.  ``plan`` is the bound ``BcdPlan`` of a z-step that
     sweeps one (iprepdhg with bcd, prepdhg_exact with bcd under a
-    non-diagonal M2); that step takes and returns z in the plan's order
-    (``plan.order``) and pairs it with ``plan.op``, and ``run()`` permutes
-    z at the edges of the run.  Raises ConfigError for a configuration that
+    non-diagonal M2), built with ``m1``; that step takes and returns z in
+    the plan's order (``plan.order``), makes its x-step through the plan's
+    ``backward`` and its right-hand side through ``forward_rhs``, two CSR
+    products with M1 and the steps folded in, and ``run()`` permutes z at
+    the edges of the run.  Raises ConfigError for a configuration that
     cannot run, or whose fields would not do what they say: pdhg takes no
     ``inner``, ``m1``, ``m2`` or ``gamma``, the other two no ``sigma``, and
     prepdhg_exact no ``inner="proxgrad"``; ``p``, ``max_outer`` and
@@ -997,7 +1058,7 @@ def validate_config(problem, config):
     if closed_form:
         pass                    # reads neither a plan nor gamma
     elif inner == "bcd":
-        plan = BcdPlan(problem.A, m2)
+        plan = BcdPlan(problem.A, m2, m1=m1)
         try:
             plan.bind(problem.g)
         except _prox.UnsupportedKindError as exc:
@@ -1018,14 +1079,17 @@ def validate_config(problem, config):
             return x_new, z_solve(sub), sub, sub.q
     else:
         # a z-step that sweeps a plan works in its order, where M2 does not
-        # act; its forward product goes straight into the sweep's
+        # act; its two products are the plan's, with M1 and the steps
+        # folded in, and its forward product goes straight into the sweep's
         # right-hand side, so no q is formed
+        backward, forward_rhs = plan.backward, plan.forward_rhs
+
         def step(x, z):
-            x_new = prepdhg_x_step(x, z, problem, m1, f_prox, plan.op)
+            x_new = prepdhg_x_step(x, z, problem, m1, f_prox, backward)
             t = 2.0 * x_new
             t -= x
             sub = ZSubproblem(z, None, None, problem.g)
-            return x_new, z_solve(sub, plan.forward_rhs(z, t)), sub, None
+            return x_new, z_solve(sub, forward_rhs(z, t)), sub, None
 
     return {"m1": m1, "m2": m2, "f_prox": f_prox, "plan": plan,
             "gamma": gamma, "step": step}

@@ -70,13 +70,17 @@ def _old_bcd_sweep(sub, plan, z, epochs, at_ref=False):
 
 
 def _old_solve_exact(sub, plan, tol, max_iter):
-    z = sub.z_ref
+    # stops as the solver does: on the estimated error step r / (1 - r)
+    z, prev = sub.z_ref, None
     for _ in range(max_iter):
         z_new = z.copy()
         _old_bcd_sweep(sub, plan, z_new, 1)
-        if np.linalg.norm(z_new - z) <= tol * (1.0 + np.linalg.norm(z_new)):
+        step = np.linalg.norm(z_new - z)
+        bound = tol * (1.0 + np.linalg.norm(z_new))
+        if step == 0.0 or (prev is not None and step < prev
+                           and step * (step / prev) / (1.0 - step / prev) <= bound):
             return z_new
-        z = z_new
+        z, prev = z_new, step
     return z
 
 

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import os
@@ -82,18 +83,46 @@ def test_bad_override_token():
         parse_config(_Args(overrides=["no-equals-sign"]))
 
 
-@pytest.mark.parametrize("key", ["rows=8", "cols=8", "budget_seconds=1"])
+@pytest.mark.parametrize("key", ["rows=8", "cols=8", "budget_seconds=1",
+                                 "jobs=4", "taus=1,2", "methods=x", "suite=nope"])
 def test_keys_no_command_reads_are_unknown(noisy_pgm, tmp_path, capsys, key):
+    # the last four are read by compare or validate, not by solve
     code = main(["solve", "--output", str(tmp_path), "problem=tvl1",
                  f"input={noisy_pgm}", "max_outer=5", key])
     assert code == 3
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["validate", "problem=tvl1"], "problem"),
+    (["oracle", "problem=tvl1", "taus=0.1,0.01"], "taus"),
+    (["oracle", "problem=tvl1", "max_outer=5"], "max_outer"),
+    (["compare", "problem=tvl1", "methods=pdhg,prepdhg", "algorithm=pdhg"],
+     "algorithm"),
+    (["compare", "problem=tvl1", "methods=pdhg,prepdhg", "time_stamps=off"],
+     "time_stamps"),
+], ids=["validate-problem", "oracle-taus", "oracle-max_outer",
+        "compare-algorithm", "compare-time_stamps"])
+def test_each_command_accepts_only_the_keys_it_reads(tmp_path, capsys, argv, key):
+    assert main(argv[:1] + ["--output", str(tmp_path)] + argv[1:]) == 3
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    # from a config file too, with its line
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("\n".join(argv[1:]) + "\n")
+    with pytest.raises(CliError, match=f":{len(argv) - 1}: unknown key {key!r}"):
+        parse_config(argparse.Namespace(command=argv[0], config=str(cfgfile),
+                                        overrides=[]))
+
+
+def test_every_command_key_is_known():
+    assert set().union(*cli._COMMAND_KEYS.values()) == cli._KNOWN_KEYS
+
+
 def test_every_known_key_is_read():
     # a key is read when its name appears as a string constant in cli.py
-    # outside the four tables that declare the keys
-    tables = {"_FLOAT_KEYS", "_INT_KEYS", "_LIST_KEYS", "_STR_KEYS"}
+    # outside the tables that declare the keys and the commands' key sets
+    tables = {"_FLOAT_KEYS", "_INT_KEYS", "_LIST_KEYS", "_STR_KEYS",
+              "_PROBLEM_KEYS", "_COMMAND_KEYS"}
     tree = ast.parse(Path(cli.__file__).read_text())
     read = set()
     for stmt in tree.body:
@@ -396,6 +425,22 @@ def test_compare_records_unknown_method_per_row(noisy_pgm, tmp_path, capsys):
     assert rows[2][7] == ("unknown method 'bogus'; known: pdhg, dp_pdhg, "
                           "prepdhg, iprepdhg_bcd, iprepdhg_fista, "
                           "iprepdhg_proxgrad")
+
+
+def test_compare_records_one_row_per_unknown_method(noisy_pgm, tmp_path, capsys):
+    # an unknown method reads no tau or p: one error row, not one per tau
+    code = main(["compare", "--output", str(tmp_path), "problem=tvl1",
+                 f"input={noisy_pgm}", "methods=pdhg,bogus,nope", "max_outer=5",
+                 "taus=0.1,0.01", "ps=1,2", "prefix=u"])
+    assert code == 0
+    capsys.readouterr()
+    with open(tmp_path / "u_compare.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [r[:3] for r in rows] == [
+        ["pdhg", "algorithm=pdhg tau=0.1", "not-converged"],
+        ["pdhg", "algorithm=pdhg tau=0.01", "not-converged"],
+        ["bogus", "algorithm=bogus tau=0.1", "error"],
+        ["nope", "algorithm=nope tau=0.1", "error"]]
 
 
 @pytest.mark.filterwarnings("ignore:zero row sums")

@@ -378,22 +378,30 @@ def _old_solve_exact(sub, tol, max_iter, gamma=None, plan=None):
     y = z
     t = 1.0
     f_prev = sub.objective(z)
+    prev = None
     for _ in range(max_iter):
         if plan is not None:        # one epoch; the sweep runs in plan order
             c = plan.rhs(plan_sub.z_ref, plan_sub.q)
             z_new = plan.unpermute(
                 pdopt.solver._bcd_sweep(plan_sub, plan, c, 1, plan.permute(z)))
+            # the epochs stop on the estimated error step r / (1 - r)
+            step = np.linalg.norm(z_new - z)
+            bound = tol * (1.0 + np.linalg.norm(z_new))
+            if step == 0.0 or (prev is not None and step < prev and
+                               step * (step / prev) / (1.0 - step / prev) <= bound):
+                return z_new
+            z, prev = z_new, step
+            continue
+        z_new = conj(y - gamma * sub.grad_quad(y))
+        f_new = sub.objective(z_new)
+        if f_new > f_prev:
+            t = 1.0
+            y = z_new
         else:
-            z_new = conj(y - gamma * sub.grad_quad(y))
-            f_new = sub.objective(z_new)
-            if f_new > f_prev:
-                t = 1.0
-                y = z_new
-            else:
-                t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-                y = z_new + ((t - 1.0) / t_new) * (z_new - z)
-                t = t_new
-            f_prev = f_new
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y = z_new + ((t - 1.0) / t_new) * (z_new - z)
+            t = t_new
+        f_prev = f_new
         if np.linalg.norm(z_new - z) <= tol * (1.0 + np.linalg.norm(z_new)):
             return z_new
         z = z_new
@@ -1659,6 +1667,129 @@ def test_bcd_plan_is_built_only_for_a_z_step_that_sweeps_it(monkeypatch):
     resolved = validate_config(prob, cfg)
     assert isinstance(resolved["plan"], BcdPlan) and len(inits) == 1
     assert run(prob, cfg, resolved).outer_iters == 5
+
+
+@pytest.mark.filterwarnings("ignore:zero row sums")
+@pytest.mark.parametrize("builder", ["tvl1", "graphcut", "emd", "ct"])
+def test_plan_x_step_is_the_x_step_through_op(builder):
+    # the plan's backward product, -M1^-1 A^T with M1 folded into its
+    # entries, accumulated into a copy of x, is x - M1^-1 (A^T z) to
+    # rounding; with the builder's m1 and with a Diagonal one (constant on
+    # EMD's flux pairs, as GroupL12's prox needs)
+    rng = np.random.default_rng(45)
+    inst, tau = _small_instance(builder, 8, 7, rng)
+    prob = inst.problem
+    m, n = prob.dims
+    cfg = inst.config(algorithm="iprepdhg", inner="bcd", tau=tau)
+    for m1 in (validate_config(prob, cfg)["m1"],
+               Diagonal(np.tile(rng.uniform(0.5, 5.0, n // 2), 2))):
+        plan = BcdPlan(prob.A, cfg.m2, m1=m1)
+        f_prox = prob.f.prox_kernel(m1.diagonal())
+        for _ in range(3):
+            x, z = rng.standard_normal(n), 10.0 * rng.standard_normal(m)
+            point = x - m1.apply_inverse(plan.op.rmatvec(z))
+            got = plan.backward(z, x.copy())
+            assert np.max(np.abs(got - point)) <= 1e-14 * np.max(np.abs(point))
+            got = prepdhg_x_step(x, z, prob, m1, f_prox, plan.backward)
+            want = f_prox(point)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # without m1 the plan keeps A^T as it is: A.rmatvec in plan order
+    z = rng.standard_normal(m)
+    got = BcdPlan(prob.A, cfg.m2).backward(z)
+    assert got.tobytes() == plan.op.rmatvec(z).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:zero row sums")
+@pytest.mark.parametrize("builder", ["tvl1", "emd", "ct"])
+def test_plan_step_is_two_csr_products_and_the_sweep(monkeypatch, builder):
+    # outside the sweep a plan step applies the plan's two folded products,
+    # and never divides by M1
+    from pdopt import operators
+    calls = []
+    matvec = operators._sparsetools.csr_matvec
+
+    def counting(*args):
+        calls.append(args[0])
+        return matvec(*args)
+
+    def refuse(self, v):
+        raise AssertionError("a plan step divides by M1")
+
+    monkeypatch.setattr(operators._sparsetools, "csr_matvec", counting)
+    for metric in (ScaledIdentity, Diagonal):
+        monkeypatch.setattr(metric, "apply_inverse", refuse)
+    rng = np.random.default_rng(46)
+    inst, tau = _small_instance(builder, 8, 7, rng)
+    m, n = inst.problem.dims
+    for p in (1, 2, 3):
+        cfg = inst.config(algorithm="iprepdhg", inner="bcd", tau=tau, p=p)
+        resolved = validate_config(inst.problem, cfg)
+        blocks = [blk for seg in resolved["plan"].segments if seg.kind == "gram"
+                  for blk in seg.blocks]
+        # a first epoch from z_ref reads L_b only, a later one L_b and U_b
+        lower = sum(blk.lower is not None for blk in blocks)
+        upper = sum(blk.upper is not None for blk in blocks)
+        calls.clear()
+        resolved["step"](rng.standard_normal(n), rng.standard_normal(m))
+        assert len(calls) == 2 + lower + (p - 1) * (lower + upper), p
+
+
+def _held_bytes(objs):
+    """The bytes of the distinct arrays reachable from ``objs`` through
+    sequences, sparse matrices and closures, each base array counted once."""
+    seen, total, stack = set(), 0, list(objs)
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, np.ndarray):
+            while obj.base is not None:
+                obj = obj.base
+            if id(obj) not in seen:
+                seen.add(id(obj))
+                total += obj.nbytes
+        elif sp.issparse(obj):
+            stack += [obj.data, obj.indices, obj.indptr]
+        elif isinstance(obj, (list, tuple)):
+            stack += obj
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack += [cell.cell_contents for cell in obj.__closure__]
+    return total
+
+
+@pytest.mark.filterwarnings("ignore:zero row sums")
+@pytest.mark.parametrize("builder", ["tvl1", "graphcut", "emd", "ct"])
+def test_plan_holds_no_more_than_op_and_its_segments(builder):
+    # the folded products scale the plan's own CSR of A and its transpose
+    # in place: the plan holds no more distinct array bytes than one that
+    # kept op (A's rows in plan order and their transpose), order and the
+    # segments; A and the kernels of g are the problem's either way
+    inst, tau = _small_instance(builder, 8, 7, np.random.default_rng(47))
+    cfg = inst.config(algorithm="iprepdhg", inner="bcd", tau=tau)
+    plan = validate_config(inst.problem, cfg)["plan"]
+    held = _held_bytes([v for k, v in vars(plan).items()
+                        if k not in ("A", "g", "kernels")])
+    op = plan.op
+    assert 0 < held <= _held_bytes([op.mat, op.mat_t, plan.order, plan.segments])
+
+
+@pytest.mark.filterwarnings("ignore:zero row sums")
+@pytest.mark.parametrize("tol", [1e-12, 1e-8])
+def test_exact_bcd_solve_is_within_its_tolerance(tol):
+    # on EMD the Gauss-Seidel rate is near 0.9: a step below tol (1 + ||z||)
+    # leaves the iterate about ten steps from the solution, so the epochs
+    # stop on the estimated error step r / (1 - r) instead
+    inst = _emd_8x8()
+    prob = inst.problem
+    m = prob.dims[0]
+    plan = validate_config(prob, inst.config(algorithm="prepdhg_exact",
+                                             inner="bcd", tau=0.001))["plan"]
+    rng = np.random.default_rng(48)
+    # q in A's range: A A^T is singular on EMD's divergence, constant in its
+    # null space, so any other q makes the subproblem unbounded
+    q = prob.A.matvec(rng.standard_normal(prob.dims[1]))
+    sub = ZSubproblem(rng.standard_normal(m), q, None, prob.g)
+    limit = solve_subproblem_exact(sub, tol=0.0, max_iter=4000, plan=plan)
+    z = solve_subproblem_exact(sub, tol=tol, plan=plan)
+    assert np.linalg.norm(z - limit) <= tol * (1.0 + np.linalg.norm(z))
 
 
 def _emd_8x8():
