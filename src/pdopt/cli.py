@@ -2,6 +2,10 @@
 
 Configuration is flat key=value, either in a file (one pair per line, `#`
 comments) or as command-line tokens; command-line tokens override the file.
+The only flags are ``--config`` and, on the commands that write artifacts
+(``solve``, ``compare``, ``oracle``), ``--output``.  ``compare`` runs its
+rows one after another in the calling thread, so each row's ``time_s`` is
+its own.
 Exit statuses: 0 success, 2 not converged, 3 validation failure or usage
 error, 4 I/O error, 5 diverged (``solve`` stopped at a non-finite iterate).
 """
@@ -11,7 +15,6 @@ import csv
 import itertools
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -33,8 +36,7 @@ class CliError(Exception):
 
 _FLOAT_KEYS = {"lam", "alpha", "beta", "tau", "sigma", "gamma", "h", "noise",
                "tol_delta", "tol_residual", "max_seconds", "phi_star", "tol"}
-_INT_KEYS = {"p", "max_outer", "seed", "log_every", "angles", "detectors",
-             "jobs"}
+_INT_KEYS = {"p", "max_outer", "seed", "log_every", "angles", "detectors"}
 _LIST_KEYS = {"taus": float, "ps": int, "seeds": int}      # comma-separated
 _STR_KEYS = {"problem", "input", "input2", "matrix", "data", "output",
              "prefix", "algorithm", "inner", "variant", "suite", "methods",
@@ -51,8 +53,7 @@ _STOP_KEYS = ("phi_star", "tol_delta", "tol_residual", "max_outer",
 _COMMAND_KEYS = {
     "solve": _PROBLEM_KEYS | set(_STOP_KEYS) | {"algorithm", "sigma", "inner",
                                                 "gamma", "p", "time_stamps"},
-    "compare": _PROBLEM_KEYS | set(_STOP_KEYS) | {"methods", "taus", "ps", "p",
-                                                  "jobs"},
+    "compare": _PROBLEM_KEYS | set(_STOP_KEYS) | {"methods", "taus", "ps", "p"},
     "validate": {"suite", "seeds"},
     "oracle": _PROBLEM_KEYS | {"tol"},
 }
@@ -203,8 +204,7 @@ def build_solver_config(instance, cfg):
 
 
 def _output_dir(cfg, args):
-    out = (getattr(args, "output", None) or cfg.get("output")
-           or os.environ.get("PDOPT_OUTPUT_DIR") or ".")
+    out = args.output or cfg.get("output") or "."
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
@@ -311,11 +311,7 @@ def cmd_compare(args):
     outdir = _output_dir(cfg, args)
     prefix = cfg.get("prefix", instance.name)
 
-    jobs = [(method, tau, p) for method in methods
-            for tau, p in _method_grid(method, taus, ps)]
-
-    def run_one(job):
-        method, tau, p = job
+    def run_one(method, tau, p):
         try:
             sc = _method_config(instance, method, tau, p, cfg)
             res = solver.run(instance.problem, sc)    # validates the config
@@ -328,18 +324,14 @@ def cmd_compare(args):
                     "status": "error", "outer_iters": "", "time_s": "",
                     "final_delta": "", "error": str(exc)}
 
-    # precedence: the --jobs flag, then the config file, then 1
-    n_jobs = max(1, args.jobs if args.jobs is not None else cfg.get("jobs", 1))
     path = os.path.join(outdir, f"{prefix}_compare.csv")
     try:
-        # opened before any job runs, so a bad path fails fast; run_one
-        # records every job's own error, so an OSError here is the file's
+        # opened before any row runs, so a bad path fails fast; run_one
+        # records every row's own error, so an OSError here is the file's.
+        # The rows run one at a time, so no row's time_s holds another's
         with open(path, "w", newline="") as fh:
-            if n_jobs > 1:
-                with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                    rows = list(pool.map(run_one, jobs))
-            else:
-                rows = [run_one(j) for j in jobs]
+            rows = [run_one(method, tau, p) for method in methods
+                    for tau, p in _method_grid(method, taus, ps)]
 
             best = {}
             for i, r in enumerate(rows):
@@ -540,8 +532,8 @@ _SUITES = {"moreau": _suite_moreau, "adjoint": _suite_adjoint,
 
 def cmd_validate(args):
     cfg = parse_config(args)
-    sel = cfg.get("suite", args.suite)
-    names = list(_SUITES) if sel in (None, "all") else [sel]
+    sel = cfg.get("suite", "all")
+    names = list(_SUITES) if sel == "all" else [sel]
     for nm in names:
         if nm not in _SUITES:
             raise CliError(f"unknown suite {nm!r}; known: {', '.join(_SUITES)}")
@@ -580,23 +572,26 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def main(argv=None):
-    handlers = {"solve": cmd_solve, "compare": cmd_compare,
-                "validate": cmd_validate, "oracle": cmd_oracle}
+_HANDLERS = {"solve": cmd_solve, "compare": cmd_compare,
+             "validate": cmd_validate, "oracle": cmd_oracle}
+
+
+def _parser():
     parser = _Parser(prog="pdopt")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in handlers:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        p.add_argument("--output", default=None)
-        if name == "compare":
-            p.add_argument("--jobs", type=int, default=None)
-        if name == "validate":
-            p.add_argument("--suite", default="all")
+        if name != "validate":          # the commands that write artifacts
+            p.add_argument("--output", default=None)
         p.add_argument("overrides", nargs="*")
+    return parser
+
+
+def main(argv=None):
     try:
-        args = parser.parse_args(argv)
-        return handlers[args.command](args)
+        args = _parser().parse_args(argv)
+        return _HANDLERS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -51,7 +51,13 @@ def load_pgm(path):
             tokens.extend(line.split())
     if not tokens or tokens[0] != "P2":
         raise ValueError(f"{path}: not a P2 PGM file")
+    if len(tokens) < 4:
+        raise ValueError(f"{path}: truncated header, expected "
+                         "'P2 width height maxval'")
     w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    if min(w, h, maxval) <= 0:
+        raise ValueError(f"{path}: width, height and maxval must be positive, "
+                         f"got {w}, {h}, {maxval}")
     data = np.array(tokens[4:], dtype=float)
     if data.size != w * h:
         raise ValueError(f"{path}: expected {w * h} pixels, got {data.size}")

@@ -313,18 +313,6 @@ class SparseOp(LinearOperator):
     def __init__(self, mat):
         mat = sp.csr_matrix(mat).astype(float)
         mat.sum_duplicates()
-        self._own(mat)
-
-    @classmethod
-    def adopt(cls, mat):
-        """A ``SparseOp`` holding ``mat`` itself, not a copy, for a caller
-        that built the canonical float64 CSR matrix ``mat`` for it and does
-        not change it afterwards."""
-        op = cls.__new__(cls)
-        op._own(mat)
-        return op
-
-    def _own(self, mat):
         self.mat = mat
         self.mat_t = mat.T.tocsr()
         self.shape = mat.shape

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import prox as _prox
-from .operators import (OrderingError, SparseOp, StackedOp, bind_csr_matvec,
+from .operators import (OrderingError, StackedOp, bind_csr_matvec,
                         op_norm_sq_estimate, power_iteration)
 from .precond import (BlockDiag, Diagonal, Gram, Preconditioner,
                       ScaledIdentity, gram_precond, ordering_for,
@@ -404,11 +404,9 @@ class BcdPlan:
     one ``DiagSegment`` or ``GramSegment`` per block, and fixes the plan
     order of the dual coordinates: ``order[i]`` is the row of A at plan
     position ``i``.  ``permute(v)`` takes a dual vector from A's row order
-    into plan order and ``unpermute`` takes it back.  ``op`` is a
-    ``SparseOp`` of A's rows in plan order, so ``op.matvec(x)`` is
-    ``permute(A.matvec(x))`` and ``op.rmatvec(permute(z))`` is
-    ``A.rmatvec(z)``, both up to rounding: a run that sweeps the plan keeps
-    its dual iterate in plan order and pairs it with A's rows in that order.
+    into plan order and ``unpermute`` takes it back.  A run that sweeps the
+    plan keeps its dual iterate in plan order and pairs it with A's rows in
+    that order.
 
     A sweep's right-hand side is ``c = z_ref + S q``, with ``q = A t`` in
     plan order and ``S`` the segments' steps over their solved rows;
@@ -422,9 +420,7 @@ class BcdPlan:
     and ``backward``, ``(z, out) -> out + T z``.  ``T`` is ``-M1^-1 A^T``
     for a plan built with ``m1`` (a diagonal metric), so
     ``backward(z, x.copy())`` is the x-step's ``x - M1^-1 A^T z``, and
-    ``A^T`` as it is without.  ``op`` is not kept: it is formed from ``A``
-    and ``order`` on each access, the same bits as the plan's rows before
-    the scaling.
+    ``A^T`` as it is without.
     """
 
     def __init__(self, A, m2, ordering=None, m1=None):
@@ -466,7 +462,7 @@ class BcdPlan:
             else:
                 raise ConfigError(
                     f"unsupported M2 block {type(part).__name__} for BCD")
-        self.A, self.order = A, np.concatenate(orders)
+        self.order = np.concatenate(orders)
         del orders
         rows = mat[self.order].astype(float, copy=False)
         del mat
@@ -480,11 +476,6 @@ class BcdPlan:
             rows_t.data /= (-float(d[0]) if d.size and d.min() == d.max()
                             else -np.repeat(d, np.diff(rows_t.indptr)))
         self.backward = bind_csr_matvec(rows_t)
-
-    @property
-    def op(self):
-        """A ``SparseOp`` of A's rows in plan order, formed on each access."""
-        return SparseOp.adopt(_canonical_csr(self.A)[self.order].astype(float, copy=False))
 
     def _fold_steps(self, rows):
         """``S A`` from ``rows``, A's rows in plan order: each segment's

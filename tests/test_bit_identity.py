@@ -509,13 +509,14 @@ _PLAN_DIGESTS = {
 }
 
 
-def _plan_digest(plan):
-    """One sha256 over the plan's order, op's CSR arrays and their
-    transpose's, each diagonal segment's ``e``, and each Gram segment's
-    ``inv_h`` and every ``L_b``/``U_b``'s ``data``, ``indices`` and
-    ``indptr``, each with its dtype."""
+def _plan_digest(A, plan):
+    """One sha256 over the plan's order, the CSR arrays of A's rows in plan
+    order (a ``SparseOp``) and their transpose's, each diagonal segment's
+    ``e``, and each Gram segment's ``inv_h`` and every ``L_b``/``U_b``'s
+    ``data``, ``indices`` and ``indptr``, each with its dtype."""
     arrays = [plan.order]
-    for mat in (plan.op.mat, plan.op.mat_t):
+    op = SparseOp(solver._canonical_csr(A)[plan.order])
+    for mat in (op.mat, op.mat_t):
         arrays += [mat.data, mat.indices, mat.indptr]
     for seg in plan.segments:
         if seg.kind == "diag":
@@ -557,7 +558,7 @@ def _plan_cases():
 def test_bcd_plan_is_the_recorded_bits(monkeypatch, limit):
     monkeypatch.setattr(solver, "GRAM_PRODUCT_NNZ", limit)
     for name, A, m2, ordering in _plan_cases():
-        assert _plan_digest(BcdPlan(A, m2, ordering)) == _PLAN_DIGESTS[name], name
+        assert _plan_digest(A, BcdPlan(A, m2, ordering)) == _PLAN_DIGESTS[name], name
 
 
 def test_bcd_plan_build_peak_is_near_what_it_keeps():

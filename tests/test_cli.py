@@ -3,6 +3,7 @@ import ast
 import csv
 import os
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +87,8 @@ def test_bad_override_token():
 @pytest.mark.parametrize("key", ["rows=8", "cols=8", "budget_seconds=1",
                                  "jobs=4", "taus=1,2", "methods=x", "suite=nope"])
 def test_keys_no_command_reads_are_unknown(noisy_pgm, tmp_path, capsys, key):
-    # the last four are read by compare or validate, not by solve
+    # the last three are read by compare or validate, not by solve;
+    # jobs by no command
     code = main(["solve", "--output", str(tmp_path), "problem=tvl1",
                  f"input={noisy_pgm}", "max_outer=5", key])
     assert code == 3
@@ -104,7 +106,9 @@ def test_keys_no_command_reads_are_unknown(noisy_pgm, tmp_path, capsys, key):
 ], ids=["validate-problem", "oracle-taus", "oracle-max_outer",
         "compare-algorithm", "compare-time_stamps"])
 def test_each_command_accepts_only_the_keys_it_reads(tmp_path, capsys, argv, key):
-    assert main(argv[:1] + ["--output", str(tmp_path)] + argv[1:]) == 3
+    # validate writes nothing, so it takes no --output
+    out = [] if argv[0] == "validate" else ["--output", str(tmp_path)]
+    assert main(argv[:1] + out + argv[1:]) == 3
     assert f"unknown key {key!r}" in capsys.readouterr().err
     # from a config file too, with its line
     cfgfile = tmp_path / "run.cfg"
@@ -135,10 +139,10 @@ def test_every_known_key_is_read():
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (["solve", "--jobs", "2"], "--jobs"),    # only compare runs jobs
+    (["solve", "--jobs", "2"], "--jobs"),    # no command runs jobs
     (["solve", "--bogus"], "--bogus"),
     (["frobnicate"], "frobnicate"),
-], ids=["jobs-outside-compare", "unknown-flag", "unknown-command"])
+], ids=["jobs-anywhere", "unknown-flag", "unknown-command"])
 def test_usage_errors_are_validation_errors(noisy_pgm, tmp_path, capsys, argv,
                                             flag):
     # argparse's own exit status, 2, means not converged
@@ -149,11 +153,48 @@ def test_usage_errors_are_validation_errors(noisy_pgm, tmp_path, capsys, argv,
     assert err.startswith("error:") and err.count("\n") == 1 and flag in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["compare", "--jobs", "2", "methods=pdhg,iprepdhg_bcd"], "--jobs"),
+    (["compare", "methods=pdhg,iprepdhg_bcd", "jobs=2"], "'jobs'"),
+    (["validate", "--suite", "moreau"], "--suite"),
+    (["validate", "--output", "d", "suite=moreau"], "--output"),
+], ids=["compare-jobs-flag", "compare-jobs-key", "validate-suite-flag",
+        "validate-output"])
+def test_retired_settings_are_usage_errors(noisy_pgm, tmp_path, capsys,
+                                           monkeypatch, argv, flag):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)         # where an --output d that took would write
+    if argv[0] == "compare":
+        argv = argv[:1] + ["--output", str(work / "out"), "problem=tvl1",
+                           f"input={noisy_pgm}", "max_outer=5"] + argv[1:]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert flag in captured.err and captured.out == ""
+    assert list(work.iterdir()) == []       # no row ran, nothing written
+
+
+def test_each_command_registers_only_the_flags_it_reads():
+    # a flag that no handler reads fails here: --output only where
+    # artifacts are written, --config everywhere, nothing else
+    sub = next(a for a in cli._parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: sorted(opt for a in p._actions for opt in a.option_strings
+                          if opt not in ("-h", "--help"))
+             for name, p in sub.choices.items()}
+    assert flags == {"solve": ["--config", "--output"],
+                     "compare": ["--config", "--output"],
+                     "validate": ["--config"],
+                     "oracle": ["--config", "--output"]}
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--help"])
     assert exc.value.code == 0
-    assert "--jobs" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--output" in out and "--jobs" not in out
 
 
 _FINITE = st.floats(allow_nan=False)
@@ -202,11 +243,48 @@ def test_solve_writes_artifacts(noisy_pgm, tmp_path, capsys):
     assert grid.shape == (8, 8)
 
 
+def test_output_defaults_to_the_working_directory(noisy_pgm, tmp_path,
+                                                  monkeypatch, capsys):
+    # --output or output= place the artifacts; no environment variable does
+    elsewhere, work = tmp_path / "elsewhere", tmp_path / "work"
+    elsewhere.mkdir()
+    work.mkdir()
+    monkeypatch.setenv("PDOPT_OUTPUT_DIR", str(elsewhere))
+    monkeypatch.chdir(work)
+    code = main(["solve", "problem=tvl1", f"input={noisy_pgm}", "max_outer=5"])
+    assert code == 2
+    capsys.readouterr()
+    assert list(elsewhere.iterdir()) == []
+    assert (work / "tvl1_trace.csv").exists()
+
+
 def test_solve_unreadable_input_is_io_error(tmp_path, capsys):
     code = main(["solve", "--output", str(tmp_path), "problem=tvl1",
                  "input=/no/such/file.pgm"])
     assert code == 4
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body,why", [
+    ("P2\n3", "truncated header"),
+    ("P2\n3 2\n", "truncated header"),
+    ("P2\n2 2\n0\n0 0 0 0\n", "must be positive"),
+    ("P2\n0 2\n255\n", "must be positive"),
+    ("P2\n2 -1\n255\n", "must be positive"),
+], ids=["width-only", "no-maxval", "maxval-0", "width-0", "height-negative"])
+def test_malformed_pgm_header_is_io_error(tmp_path, capsys, body, why):
+    # a short header or a non-positive size or maxval is load_pgm's
+    # ValueError, which solve reports as one 'cannot load' line, exit 4
+    path = tmp_path / "bad.pgm"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=why):
+        gridio.load_pgm(str(path))
+    code = main(["solve", "--output", str(tmp_path), "problem=tvl1",
+                 f"input={path}"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load {path}: ") and err.count("\n") == 1
+    assert why in err
 
 
 @pytest.mark.parametrize("bad", ["lam=-1", "noise=2", "input={tmp}/inf.csv"])
@@ -571,50 +649,51 @@ def test_solve_validates_once(noisy_pgm, tmp_path, monkeypatch, capsys):
         assert calls == [algorithm]
 
 
-def test_compare_jobs_flag_then_config_file_then_one(noisy_pgm, tmp_path,
-                                                    monkeypatch, capsys):
-    from pdopt import cli
-    pools = []
+def test_compare_runs_its_rows_one_at_a_time(noisy_pgm, tmp_path,
+                                             monkeypatch, capsys):
+    # each row's solve starts after the one before it has returned, in the
+    # calling thread, so no row's time_s holds another row's work
+    import threading
+    from pdopt import solver
+    spans = []
+    solve = solver.run
 
-    class RecordingPool(cli.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def timed(*args, **kw):
+        start = time.perf_counter()
+        try:
+            return solve(*args, **kw)
+        finally:
+            spans.append((start, time.perf_counter(),
+                          threading.current_thread() is threading.main_thread()))
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-    cfgfile = tmp_path / "run.cfg"
-    body = (f"problem=tvl1\ninput={noisy_pgm}\nmethods=pdhg,iprepdhg_bcd\n"
-            "max_outer=20\n")
-    cfgfile.write_text(body + "jobs=2\n")
-    head = ["compare", "--config", str(cfgfile), "--output", str(tmp_path)]
-    assert main(head) == 0
-    assert pools == [2]                     # from the config file
-    assert main(head + ["--jobs", "1"]) == 0
-    assert pools == [2]                     # the flag wins
-    assert main(head + ["--jobs", "3"]) == 0
-    assert pools == [2, 3]
-    cfgfile.write_text(body)
-    assert main(head) == 0
-    assert pools == [2, 3]                  # neither given: one job
+    monkeypatch.setattr(solver, "run", timed)
+    code = main(["compare", "--output", str(tmp_path), "problem=tvl1",
+                 f"input={noisy_pgm}", "methods=pdhg,iprepdhg_bcd,iprepdhg_fista",
+                 "taus=0.1,0.01", "ps=1,2", "max_outer=200", "prefix=seq"])
+    assert code == 0
     capsys.readouterr()
+    assert len(spans) == 2 + 4 + 4
+    assert all(in_main for _, _, in_main in spans)
+    spans.sort()
+    assert all(prev[1] <= nxt[0] for prev, nxt in zip(spans, spans[1:]))
 
 
 # ---------------------------------------------------------------------------
 # validate + oracle commands
 
 def test_validate_single_suite(capsys):
-    code = main(["validate", "--suite", "moreau", "seeds=1,2"])
+    code = main(["validate", "suite=moreau", "seeds=1,2"])
     assert code == 0
     out = capsys.readouterr().out
     assert out.startswith("PASS moreau margin=")
 
 
 def test_validate_unknown_suite(capsys):
-    assert main(["validate", "--suite", "bogus"]) == 3
+    assert main(["validate", "suite=bogus"]) == 3
 
 
 def test_validate_malformed_seeds_is_validation_error(capsys):
-    assert main(["validate", "--suite", "moreau", "seeds=1,x"]) == 3
+    assert main(["validate", "suite=moreau", "seeds=1,x"]) == 3
     assert capsys.readouterr().err.startswith(
         "error: command line: key 'seeds' expects a comma-separated list of int")
 

@@ -20,12 +20,12 @@ from pdopt.prox import (BoxIndicator, Concat, GroupL12, L1, PointIndicator,
                         Quadratic, UnsupportedKindError, Zero, conj_prox)
 from pdopt.solver import (BcdPlan, ConfigError, InfeasibleStepsizeError,
                           SaddleProblem, SingularMetricError, SolverConfig,
-                          ZSubproblem, admm_dual_step, bcd_gamma_feasible,
-                          c_bcd, c_proxgrad, dual_transform, ergodic_gap_bound,
-                          find_bcd_gamma, inner_bcd, inner_fista_restart,
-                          inner_proxgrad, lyapunov, pdhg_step, prepdhg_x_step,
-                          relative_error_residual, run, solve_subproblem_exact,
-                          validate_config)
+                          ZSubproblem, _canonical_csr, admm_dual_step,
+                          bcd_gamma_feasible, c_bcd, c_proxgrad, dual_transform,
+                          ergodic_gap_bound, find_bcd_gamma, inner_bcd,
+                          inner_fista_restart, inner_proxgrad, lyapunov,
+                          pdhg_step, prepdhg_x_step, relative_error_residual,
+                          run, solve_subproblem_exact, validate_config)
 
 
 # ---------------------------------------------------------------------------
@@ -558,12 +558,17 @@ def _benchmark_instances():
     yield problems.tvl1(rng.random((256, 256)), lam=1.0), 0.01
 
 
-def _old_gram_blocks(plan, seg, part):
+def _plan_op(A, plan):
+    """A's rows in plan order, as a ``SparseOp``."""
+    return SparseOp(_canonical_csr(A)[plan.order])
+
+
+def _old_gram_blocks(A, plan, seg, part):
     """The segment's ``G_b`` as they were built before the plan split them:
     row slices of one product of its rows in plan order with their
     transpose, scaled by tau/h, self-coupling and dead columns removed, each
     row in the product's order."""
-    rows = plan.op.mat[seg.lo:seg.hi]
+    rows = _plan_op(A, plan).mat[seg.lo:seg.hi]
     gram = rows @ rows.T.tocsr()
     h = part.tau * (rows.power(2) @ np.ones(rows.shape[1])) + part.ridge
     n_live = seg.idx.size
@@ -593,7 +598,8 @@ def test_bcd_bound_block_products_are_scipys_bit_for_bit():
                 continue
             part = m2 if isinstance(m2, Gram) else m2.parts[i]
             idx = seg.idx
-            for blk, g_b in zip(seg.blocks, _old_gram_blocks(plan, seg, part)):
+            for blk, g_b in zip(seg.blocks, _old_gram_blocks(inst.problem.A, plan, seg,
+                                                             part)):
                 sl, l_b, u_b = blk.sl, blk.l_b, blk.u_b
                 lower, upper = blk.lower, blk.upper
                 assert np.all(l_b.indices < sl.start)
@@ -1430,9 +1436,9 @@ def test_run_step_is_the_old_dispatch_byte_for_byte(algorithm, inner, metrics):
 
 
 def _small_plans(rng):
-    """Plans of three builders' operators (CT's mixes a diagonal and a Gram
-    segment, EMD's has no dead rows), and one over a CSR operator whose
-    dead rows store zeros."""
+    """``(A, plan)`` for three builders' operators (CT's plan mixes a
+    diagonal and a Gram segment, EMD's has no dead rows), and for a CSR
+    operator whose dead rows store zeros."""
     from pdopt import problems
     from pdopt.precond import BlockOrdering
     R = problems.synth_line_integral_matrix(8, 8, 6, 10, seed=3)
@@ -1443,13 +1449,14 @@ def _small_plans(rng):
                       (problems.ct(R, rng.random(R.shape[0]), lam=0.1, rows=8,
                                    cols=8, tau=0.1), 0.1)):
         cfg = inst.config(algorithm="iprepdhg", inner="bcd", tau=tau)
-        yield BcdPlan(inst.problem.A, cfg.m2)
+        yield inst.problem.A, BcdPlan(inst.problem.A, cfg.m2)
     mat = sp.random(9, 7, density=0.5, random_state=4, format="csr")
     for row in (2, 5):
         mat.data[mat.indptr[row]:mat.indptr[row + 1]] = 0.0
     op = SparseOp(mat)
     assert np.diff(op.mat.indptr)[[2, 5]].all()     # stored zeros
-    yield BcdPlan(op, Gram(0.3, op), BlockOrdering("rows", [[i] for i in range(9)]))
+    yield op, BcdPlan(op, Gram(0.3, op),
+                      BlockOrdering("rows", [[i] for i in range(9)]))
 
 
 def test_forward_rhs_is_the_rhs_of_the_forward_product():
@@ -1457,8 +1464,9 @@ def test_forward_rhs_is_the_rhs_of_the_forward_product():
     # z_ref + S (A t) up to rounding; dead rows keep z_ref's bits, -0.0
     # included, also where they store zeros that an inf in t turns into NaN
     rng = np.random.default_rng(44)
-    for plan in _small_plans(rng):
-        m, n = plan.op.shape
+    for A, plan in _small_plans(rng):
+        op = _plan_op(A, plan)
+        m, n = op.shape
         dead = np.zeros(m, dtype=bool)
         for seg in plan.segments:
             dead[seg.dead] = True
@@ -1466,7 +1474,7 @@ def test_forward_rhs_is_the_rhs_of_the_forward_product():
         z_ref[dead] = -0.0
         t = rng.standard_normal(n)
         got = plan.forward_rhs(z_ref, t)
-        want = plan.rhs(z_ref, plan.op.matvec(t))
+        want = plan.rhs(z_ref, op.matvec(t))
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         t[::3] = np.inf
         with np.errstate(invalid="ignore"):
@@ -1628,8 +1636,9 @@ def test_plan_order_is_a_permutation_of_a_s_rows(builder, rows, cols, seed):
             assert seg.rows == slice(seg.lo, seg.lo + seg.idx.size)
             assert seg.dead == slice(seg.rows.stop, seg.hi)
             assert seg.blocks[-1].sl.stop == seg.idx.size
-    # op is A with its rows in plan order; its adjoint holds to rounding
-    op = plan.op
+    # A with its rows in plan order pairs with plan-order z; its adjoint
+    # holds to rounding
+    op = _plan_op(A, plan)
     for _ in range(3):
         x = rng.standard_normal(n)
         z = rng.standard_normal(m)
@@ -1684,10 +1693,11 @@ def test_plan_x_step_is_the_x_step_through_op(builder):
     for m1 in (validate_config(prob, cfg)["m1"],
                Diagonal(np.tile(rng.uniform(0.5, 5.0, n // 2), 2))):
         plan = BcdPlan(prob.A, cfg.m2, m1=m1)
+        op = _plan_op(prob.A, plan)
         f_prox = prob.f.prox_kernel(m1.diagonal())
         for _ in range(3):
             x, z = rng.standard_normal(n), 10.0 * rng.standard_normal(m)
-            point = x - m1.apply_inverse(plan.op.rmatvec(z))
+            point = x - m1.apply_inverse(op.rmatvec(z))
             got = plan.backward(z, x.copy())
             assert np.max(np.abs(got - point)) <= 1e-14 * np.max(np.abs(point))
             got = prepdhg_x_step(x, z, prob, m1, f_prox, plan.backward)
@@ -1696,7 +1706,7 @@ def test_plan_x_step_is_the_x_step_through_op(builder):
     # without m1 the plan keeps A^T as it is: A.rmatvec in plan order
     z = rng.standard_normal(m)
     got = BcdPlan(prob.A, cfg.m2).backward(z)
-    assert got.tobytes() == plan.op.rmatvec(z).tobytes()
+    assert got.tobytes() == op.rmatvec(z).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:zero row sums")
@@ -1760,14 +1770,14 @@ def _held_bytes(objs):
 def test_plan_holds_no_more_than_op_and_its_segments(builder):
     # the folded products scale the plan's own CSR of A and its transpose
     # in place: the plan holds no more distinct array bytes than one that
-    # kept op (A's rows in plan order and their transpose), order and the
-    # segments; A and the kernels of g are the problem's either way
+    # kept A's rows in plan order and their transpose, order and the
+    # segments; the kernels of g are the problem's either way
     inst, tau = _small_instance(builder, 8, 7, np.random.default_rng(47))
     cfg = inst.config(algorithm="iprepdhg", inner="bcd", tau=tau)
     plan = validate_config(inst.problem, cfg)["plan"]
     held = _held_bytes([v for k, v in vars(plan).items()
-                        if k not in ("A", "g", "kernels")])
-    op = plan.op
+                        if k not in ("g", "kernels")])
+    op = _plan_op(inst.problem.A, plan)
     assert 0 < held <= _held_bytes([op.mat, op.mat_t, plan.order, plan.segments])
 
 
